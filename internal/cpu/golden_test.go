@@ -1,0 +1,284 @@
+package cpu_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"hash"
+	"math/rand"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/cpu"
+	"repro/internal/faultinject"
+	"repro/internal/isa"
+	"repro/internal/obs"
+	"repro/internal/workload"
+)
+
+var update = flag.Bool("update", false, "rewrite the result goldens in testdata/")
+
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := "testdata/" + name
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record it)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Errorf("%s line %d:\n got: %s\nwant: %s", path, i+1, g, w)
+		}
+	}
+}
+
+// resultLine renders one Result as a golden line: the key counters in
+// clear text, then the SHA-256 of the JSON of the whole Result, so any
+// field that moves shows up even when the counters shown do not.
+func resultLine(t *testing.T, label string, res *cpu.Result) string {
+	t.Helper()
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s cycles=%d insts=%d mispredicts=%d recoveries=%d forwards=%d fastforwards=%d vp=%d stallrob=%d stallqueue=%d l1=%d/%d lvc=%d/%d l2=%d/%d sha256=%x",
+		label, res.Cycles, res.Insts, res.ARPTMispredicts, res.Recoveries, res.Forwards,
+		res.FastForwards, res.VPUsed, res.StallROB, res.StallQueue,
+		res.L1Stats.Accesses, res.L1Stats.Misses, res.LVCStats.Accesses, res.LVCStats.Misses,
+		res.L2Stats.Accesses, res.L2Stats.Misses, sha256.Sum256(b))
+}
+
+// TestResultGoldenWorkloads pins every cpu.Result field of all twelve
+// workloads on the eight Figure 8 machines at 100,000 instructions.
+// Any engine change must leave this file byte-identical.
+func TestResultGoldenWorkloads(t *testing.T) {
+	const n = 100_000
+	var b strings.Builder
+	for _, w := range workload.All() {
+		p, err := w.Compile(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := cpu.BuildTrace(p, cpu.TraceOptions{MaxInsts: n})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		for _, cfg := range cpu.Figure8Configs() {
+			res, err := cpu.Simulate(tr, cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", w.Name, cfg.Name, err)
+			}
+			b.WriteString(resultLine(t, w.Name+" "+cfg.Name, res) + "\n")
+		}
+	}
+	checkGolden(t, "results_100k.golden", b.String())
+}
+
+// Addresses of the random traces: four stack words and four data
+// words, so loads alias older stores often and forward often.
+const (
+	randStackBase = 0x7fff_ff00
+	randDataBase  = 0x1000_0000
+	randWords     = 4
+)
+
+// randomTrace generates a seeded instruction stream with valid register
+// dependences over a small register set. Memory references draw their
+// addresses from a pool of eight words; about one in six has its
+// steering prediction flipped, so recovery moves it between the LSQ and
+// the LVAQ. earlyAddr sets FlagEarlyAddr on about half of the stores;
+// the stream is otherwise the same with it on or off.
+func randomTrace(seed int64, n int, earlyAddr bool) *cpu.Trace {
+	r := rand.New(rand.NewSource(seed))
+	reg := func() int8 {
+		if r.Intn(4) == 0 {
+			return int8(32 + r.Intn(4)) // floating-point registers
+		}
+		return int8(1 + r.Intn(10))
+	}
+	src := func() int8 {
+		if r.Intn(5) == 0 {
+			return -1
+		}
+		return reg()
+	}
+	tr := &cpu.Trace{Name: fmt.Sprintf("random-%d", seed), Insts: make([]cpu.TraceInst, n)}
+	for i := range tr.Insts {
+		ti := &tr.Insts[i]
+		ti.Index = int32(r.Intn(64))
+		switch k := r.Intn(20); {
+		case k < 9: // memory reference
+			stack := r.Intn(2) == 0
+			ti.Addr = randDataBase + 4*uint32(r.Intn(randWords)) + uint32(r.Intn(4))
+			ti.Flags = cpu.FlagMem
+			if stack {
+				ti.Addr = randStackBase + 4*uint32(r.Intn(randWords)) + uint32(r.Intn(4))
+				ti.Flags |= cpu.FlagStack
+			}
+			if stack != (r.Intn(6) == 0) {
+				ti.Flags |= cpu.FlagPredStack
+			}
+			if r.Intn(4) == 0 {
+				ti.Flags |= cpu.FlagFPMem
+			}
+			ti.Src1, ti.Src2, ti.Dest = src(), -1, -1
+			if k < 5 {
+				ti.Class = isa.ClassLoad
+				ti.Flags |= cpu.FlagLoad
+				ti.Dest = reg()
+			} else {
+				ti.Class = isa.ClassStore
+				ti.Src2 = src()
+				if r.Intn(2) == 0 && earlyAddr {
+					ti.Flags |= cpu.FlagEarlyAddr
+				}
+			}
+		default:
+			classes := []isa.Class{isa.ClassIntALU, isa.ClassIntALU, isa.ClassIntALU,
+				isa.ClassIntMul, isa.ClassIntDiv, isa.ClassFPALU, isa.ClassFPMul,
+				isa.ClassFPDiv, isa.ClassBranch}
+			ti.Class = classes[r.Intn(len(classes))]
+			ti.Src1, ti.Src2, ti.Dest = src(), src(), -1
+			if ti.Class != isa.ClassBranch {
+				ti.Dest = reg()
+				if r.Intn(10) == 0 {
+					ti.Flags |= cpu.FlagVPHit
+				}
+			}
+		}
+	}
+	return tr
+}
+
+// randomFaults builds an injector that denies every ninth-or-so port
+// grant and adds latency to others, within the first grants the run
+// can reach.
+func randomFaults(seed int64, grants int) *faultinject.Injector {
+	r := rand.New(rand.NewSource(seed))
+	p := &faultinject.Plan{Seed: uint64(seed)}
+	for i := 0; i < grants/9; i++ {
+		p.Faults = append(p.Faults,
+			faultinject.Fault{Kind: faultinject.PortDrop, Arg: uint64(r.Intn(grants))},
+			faultinject.Fault{Kind: faultinject.LatencyPerturb, Arg: uint64(r.Intn(grants)),
+				Extra: uint32(1 + r.Intn(20))})
+	}
+	return faultinject.NewInjector(p)
+}
+
+// hashTracer digests the full cycle-event stream of a run in emission
+// order, so the golden pins the same-cycle order of every event.
+type hashTracer struct {
+	h   hash.Hash
+	n   int
+	buf [25]byte
+}
+
+func (t *hashTracer) Emit(ev obs.Event) {
+	binary.LittleEndian.PutUint64(t.buf[0:], uint64(ev.Cycle))
+	binary.LittleEndian.PutUint64(t.buf[8:], uint64(ev.Seq))
+	t.buf[16] = byte(ev.Kind)
+	binary.LittleEndian.PutUint64(t.buf[17:], uint64(ev.Arg))
+	t.h.Write(t.buf[:])
+	t.n++
+}
+
+// hashRecovery digests the RecoveryObserver call sequence.
+type hashRecovery struct {
+	h hash.Hash
+	n int
+}
+
+func (o *hashRecovery) call(method string, seq int64, pen int) error {
+	fmt.Fprintf(o.h, "%s %d %d\n", method, seq, pen)
+	o.n++
+	return nil
+}
+
+func (o *hashRecovery) Detect(seq int64) error          { return o.call("detect", seq, 0) }
+func (o *hashRecovery) Cancel(seq int64) error          { return o.call("cancel", seq, 0) }
+func (o *hashRecovery) Replay(seq int64, pen int) error { return o.call("replay", seq, pen) }
+
+// randomConfigs are the machines the random traces run on: a
+// conventional one, the decoupled Table 4 machine with fast forwarding
+// on and off, and a small decoupled machine whose ROB is not a power
+// of two and whose queues fill, at a four-cycle recovery penalty.
+func randomConfigs() []cpu.Config {
+	noFF := cpu.Decoupled(2, 2)
+	noFF.FastForward = false
+	noFF.Name = "(2+2,noff)"
+	small := cpu.Decoupled(2, 1).WithPenalty(4)
+	small.ROBSize, small.LSQSize, small.LVAQSize = 50, 12, 9
+	small.Name = "(2+1,pen4,rob50)"
+	return []cpu.Config{cpu.Conventional(2, 2), cpu.Decoupled(3, 3), noFF, small}
+}
+
+// TestResultGoldenRandomTraces pins the engine on seeded aliasing-heavy
+// random traces: every Result field, the digest of the full event
+// stream and the digest of the recovery-observer calls, across early
+// addresses on and off, fast forwarding on and off, and an injector
+// dropping ports and adding latency. The uninstrumented run must
+// produce the same Result as the traced one.
+func TestResultGoldenRandomTraces(t *testing.T) {
+	const n = 4000
+	var b strings.Builder
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, early := range []bool{false, true} {
+			tr := randomTrace(seed, n, early)
+			for _, cfg := range randomConfigs() {
+				for _, faulty := range []bool{false, true} {
+					var opts []cpu.Option
+					if faulty {
+						opts = append(opts, cpu.WithFaults(randomFaults(seed, n/4)))
+					}
+					plain, err := cpu.New(cfg, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := plain.Run(tr)
+					if err != nil {
+						t.Fatalf("seed %d %s: %v", seed, cfg.Name, err)
+					}
+					trc, rec := &hashTracer{h: sha256.New()}, &hashRecovery{h: sha256.New()}
+					traced, err := cpu.New(cfg, append(opts, cpu.WithTracer(trc), cpu.WithRecovery(rec))...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := traced.Run(tr)
+					if err != nil {
+						t.Fatalf("seed %d %s traced: %v", seed, cfg.Name, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("seed %d %s: traced run diverged from the plain run", seed, cfg.Name)
+					}
+					label := fmt.Sprintf("seed=%d early=%t faults=%t %s", seed, early, faulty, cfg.Name)
+					fmt.Fprintf(&b, "%s events=%d/%x recovery=%d/%x\n", resultLine(t, label, want),
+						trc.n, trc.h.Sum(nil)[:8], rec.n, rec.h.Sum(nil)[:8])
+				}
+			}
+		}
+	}
+	checkGolden(t, "random_traces.golden", b.String())
+}
