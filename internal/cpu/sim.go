@@ -1,11 +1,11 @@
 package cpu
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/isa"
@@ -117,6 +117,7 @@ type robEntry struct {
 	mask      uint8 // outstanding source operands
 	addrDone  bool
 	earlyAddr bool  // LVAQ fast forwarding: address usable from dispatch
+	part      uint8 // cache partition the access steers to, set at address generation
 	readyAt   int64 // earliest cycle the cache access may start (recovery)
 	consumers []int64
 }
@@ -133,32 +134,212 @@ type event struct {
 	kind  uint8
 }
 
+// eventHeap and seqHeap are min-heaps with the exact sift-up and
+// sift-down steps of container/heap (moving a hole instead of swapping,
+// which leaves the same array behind). eventHeap orders by cycle alone,
+// so events due in the same cycle pop in the order that layout gives —
+// the order every pinned event stream records.
 type eventHeap []event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].cycle < h[j].cycle }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if ev.cycle >= q[i].cycle {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = ev
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top, x := q[0], q[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].cycle < q[j].cycle {
+			j = j2
+		}
+		if q[j].cycle >= x.cycle {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = x
+	*h = q[:n]
+	return top
 }
 
 type seqHeap []int64
 
-func (h seqHeap) Len() int           { return len(h) }
-func (h seqHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h seqHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *seqHeap) Push(x any)        { *h = append(*h, x.(int64)) }
-func (h *seqHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+func (h *seqHeap) push(seq int64) {
+	*h = append(*h, seq)
+	q := *h
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if seq >= q[i] {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = seq
+}
+
+func (h *seqHeap) pop() int64 {
+	q := *h
+	n := len(q) - 1
+	top, x := q[0], q[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2] < q[j] {
+			j = j2
+		}
+		if q[j] >= x {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = x
+	*h = q[:n]
+	return top
+}
+
+// memQueue is one memory queue, the LSQ or the LVAQ, plus the store
+// index that load disambiguation reads instead of scanning the queue.
+// All three lists are in program order and lose their head at commit.
+type memQueue struct {
+	name    string
+	seqs    []int64    // every entry, loads and stores
+	stores  []storeRec // the stores, with their word addresses
+	unknown []int64    // stores whose address is not yet known
+}
+
+// storeRec is one store of a queue's store index.
+type storeRec struct {
+	seq  int64
+	word uint32
+}
+
+// add enters a newly dispatched entry at the tail.
+func (q *memQueue) add(seq int64, ti *TraceInst, addrKnown bool) {
+	q.seqs = append(q.seqs, seq)
+	if ti.IsLoad() {
+		return
+	}
+	q.stores = append(q.stores, storeRec{seq: seq, word: ti.Addr >> 2})
+	if !addrKnown {
+		q.unknown = append(q.unknown, seq)
+	}
+}
+
+// retire removes the committing entry seq, which must head the queue
+// and, for a store, the store index. A mismatch means the queue
+// bookkeeping is corrupt; the wrapped ErrInvariant surfaces through
+// Simulate's error return.
+func (q *memQueue) retire(seq int64, store bool) error {
+	if len(q.seqs) == 0 || q.seqs[0] != seq {
+		head := int64(-1)
+		if len(q.seqs) > 0 {
+			head = q.seqs[0]
+		}
+		return fmt.Errorf("%w: %s head %d, expected retiring seq %d",
+			ErrInvariant, q.name, head, seq)
+	}
+	q.seqs = q.seqs[1:]
+	if !store {
+		return nil
+	}
+	if len(q.stores) == 0 || q.stores[0].seq != seq {
+		head := int64(-1)
+		if len(q.stores) > 0 {
+			head = q.stores[0].seq
+		}
+		return fmt.Errorf("%w: %s store index head %d, expected retiring store %d",
+			ErrInvariant, q.name, head, seq)
+	}
+	q.stores = q.stores[1:]
+	return nil
+}
+
+// resolveAddr takes a store off the unknown-address list once its
+// address generation completes.
+func (q *memQueue) resolveAddr(seq int64) error {
+	var ok bool
+	if q.unknown, ok = removeSeq(q.unknown, seq); !ok {
+		return fmt.Errorf("%w: store %d resolved its address but is not on the %s unknown list",
+			ErrInvariant, seq, q.name)
+	}
+	return nil
+}
+
+// moveTo transfers entry seq to queue to during steering recovery,
+// keeping both queues and both store indexes in program order.
+func (q *memQueue) moveTo(to *memQueue, seq int64, store bool) error {
+	var ok bool
+	if q.seqs, ok = removeSeq(q.seqs, seq); !ok {
+		return fmt.Errorf("%w: seq %d absent from its steering queue during recovery",
+			ErrInvariant, seq)
+	}
+	to.seqs = insertSeq(to.seqs, seq)
+	if !store {
+		return nil
+	}
+	i := q.storeAt(seq)
+	if i == len(q.stores) || q.stores[i].seq != seq {
+		return fmt.Errorf("%w: store %d absent from the %s store index during recovery",
+			ErrInvariant, seq, q.name)
+	}
+	rec := q.stores[i]
+	q.stores = slices.Delete(q.stores, i, i+1)
+	to.stores = slices.Insert(to.stores, to.storeAt(seq), rec)
+	return nil
+}
+
+// storeAt returns the index of the first store in the index whose seq
+// is seq or younger.
+func (q *memQueue) storeAt(seq int64) int {
+	lo, hi := 0, len(q.stores)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if q.stores[m].seq < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// olderStore applies §4.3 to a load at seq reading word: blocked when
+// any older store's address is unknown; otherwise the youngest older
+// store to the same word, or -1 when there is none.
+func (q *memQueue) olderStore(seq int64, word uint32) (match int64, blocked bool) {
+	if len(q.unknown) > 0 && q.unknown[0] < seq {
+		return -1, true
+	}
+	for i := q.storeAt(seq) - 1; i >= 0; i-- {
+		if q.stores[i].word == word {
+			return q.stores[i].seq, false
+		}
+	}
+	return -1, false
 }
 
 type simulator struct {
@@ -166,25 +347,24 @@ type simulator struct {
 	tr  *Trace
 	res *Result
 
-	rob      []robEntry
+	rob      []robEntry // ring of a power-of-two size >= ROBSize
+	robMask  int64
 	headSeq  int64 // oldest in-flight
 	tailSeq  int64 // next to allocate
 	nextDisp int   // next trace index to dispatch
 
 	lastWriter [numDepRegs]int64
 
-	ready  seqHeap
-	events eventHeap
-	now    int64
+	ready    seqHeap
+	deferred []int64 // issue's scratch: ready entries short of a function unit
+	events   eventHeap
+	now      int64
 
-	// Queue contents in program order (seqs); entries leave at commit.
-	lsq  []int64
-	lvaq []int64
+	lsq, lvaq memQueue
 
 	// Memory entries past address generation, awaiting disambiguation
-	// and a cache port.
+	// and a cache port, in program order.
 	memPending []int64
-	pendDirty  bool
 
 	// First-level partitions plus shared L2, with the per-partition
 	// timing parameters the hierarchy leaves to the pipeline model.
@@ -211,7 +391,7 @@ func (s *simulator) emit(seq int64, kind obs.EventKind, arg int64) {
 	s.trc.Emit(obs.Event{Cycle: s.now, Seq: seq, Kind: kind, Arg: arg})
 }
 
-func (s *simulator) slot(seq int64) *robEntry { return &s.rob[seq%int64(len(s.rob))] }
+func (s *simulator) slot(seq int64) *robEntry { return &s.rob[seq&s.robMask] }
 
 func (s *simulator) inst(seq int64) *TraceInst { return &s.tr.Insts[s.slot(seq).ti] }
 
@@ -239,6 +419,15 @@ func Simulate(tr *Trace, cfg Config) (*Result, error) {
 // run is the simulation engine behind Sim.Run (which adds metrics
 // publication on top).
 func (sm *Sim) run(tr *Trace) (*Result, error) {
+	s, err := sm.newSimulator(tr)
+	if err != nil {
+		return nil, err
+	}
+	return s.simulate()
+}
+
+// newSimulator builds the per-run machine state for trace tr.
+func (sm *Sim) newSimulator(tr *Trace) (*simulator, error) {
 	cfg := sm.cfg
 	if len(tr.Insts) == 0 {
 		return nil, fmt.Errorf("cpu: empty trace %q", tr.Name)
@@ -259,7 +448,9 @@ func (sm *Sim) run(tr *Trace) (*Result, error) {
 		cfg:      cfg,
 		tr:       tr,
 		res:      &Result{Config: cfg, Name: tr.Name},
-		rob:      make([]robEntry, cfg.ROBSize),
+		rob:      make([]robEntry, 1<<bits.Len(uint(cfg.ROBSize-1))),
+		lsq:      memQueue{name: "LSQ"},
+		lvaq:     memQueue{name: "LVAQ"},
 		hier:     hier,
 		ports:    make([]int, len(parts)),
 		plats:    make([]int, len(parts)),
@@ -269,6 +460,7 @@ func (sm *Sim) run(tr *Trace) (*Result, error) {
 		recovery: sm.recovery,
 		trc:      sm.tracer,
 	}
+	s.robMask = int64(len(s.rob) - 1)
 	for i, p := range parts {
 		s.ports[i] = p.Ports
 		s.plats[i] = p.HitLatency
@@ -283,7 +475,12 @@ func (sm *Sim) run(tr *Trace) (*Result, error) {
 	for i := range s.lastWriter {
 		s.lastWriter[i] = -1
 	}
+	return s, nil
+}
 
+// simulate runs the cycle loop to the last commit.
+func (s *simulator) simulate() (*Result, error) {
+	tr := s.tr
 	total := int64(len(tr.Insts))
 	idle := 0
 	for s.headSeq < total {
@@ -304,9 +501,9 @@ func (sm *Sim) run(tr *Trace) (*Result, error) {
 		i := s.issue()
 		d := s.dispatch()
 		if s.occLSQ != nil {
-			s.occLSQ.Observe(int64(len(s.lsq)))
+			s.occLSQ.Observe(int64(len(s.lsq.seqs)))
 			if s.occLVAQ != nil {
-				s.occLVAQ.Observe(int64(len(s.lvaq)))
+				s.occLVAQ.Observe(int64(len(s.lvaq.seqs)))
 			}
 		}
 		if c == 0 && i == 0 && d == 0 && len(s.events) == 0 {
@@ -318,6 +515,9 @@ func (sm *Sim) run(tr *Trace) (*Result, error) {
 		} else {
 			idle = 0
 		}
+	}
+	if err := s.drained(); err != nil {
+		return nil, err
 	}
 	s.res.Cycles = uint64(s.now)
 	s.res.Insts = uint64(total)
@@ -342,15 +542,10 @@ func (s *simulator) commit() (int, error) {
 		if e.state != stDone {
 			break
 		}
-		var err error
-		switch e.queue {
-		case qLSQ:
-			s.lsq, err = popHead(s.lsq, s.headSeq)
-		case qLVAQ:
-			s.lvaq, err = popHead(s.lvaq, s.headSeq)
-		}
-		if err != nil {
-			return n, err
+		if e.queue != qNone {
+			if err := s.queue(e.queue).retire(s.headSeq, !s.inst(s.headSeq).IsLoad()); err != nil {
+				return n, err
+			}
 		}
 		if s.trc != nil {
 			s.emit(s.headSeq, obs.EvCommit, 0)
@@ -361,25 +556,33 @@ func (s *simulator) commit() (int, error) {
 	return n, nil
 }
 
-// popHead removes seq from the front of a program-ordered queue. A
-// mismatched head means the simulator's queue bookkeeping is corrupt;
-// the wrapped ErrInvariant surfaces through Simulate's error return.
-func popHead(q []int64, seq int64) ([]int64, error) {
-	if len(q) == 0 || q[0] != seq {
-		head := int64(-1)
-		if len(q) > 0 {
-			head = q[0]
-		}
-		return q, fmt.Errorf("%w: memory queue head %d, expected retiring seq %d",
-			ErrInvariant, head, seq)
+func (s *simulator) queue(q uint8) *memQueue {
+	if q == qLVAQ {
+		return &s.lvaq
 	}
-	copy(q, q[1:])
-	return q[:len(q)-1], nil
+	return &s.lsq
+}
+
+// drained checks that a finished run left nothing behind: every event
+// delivered, nothing ready or pending, and both memory queues, store
+// indexes and unknown-address lists empty.
+func (s *simulator) drained() error {
+	if len(s.events)+len(s.ready)+len(s.memPending) != 0 {
+		return fmt.Errorf("%w: run ended with %d events, %d ready and %d pending memory entries",
+			ErrInvariant, len(s.events), len(s.ready), len(s.memPending))
+	}
+	for _, q := range []*memQueue{&s.lsq, &s.lvaq} {
+		if len(q.seqs)+len(q.stores)+len(q.unknown) != 0 {
+			return fmt.Errorf("%w: run ended with %d entries, %d indexed stores and %d unknown addresses in the %s",
+				ErrInvariant, len(q.seqs), len(q.stores), len(q.unknown), q.name)
+		}
+	}
+	return nil
 }
 
 func (s *simulator) processEvents() error {
 	for len(s.events) > 0 && s.events[0].cycle <= s.now {
-		ev := heap.Pop(&s.events).(event)
+		ev := s.events.pop()
 		e := s.slot(ev.seq)
 		switch ev.kind {
 		case evComplete:
@@ -387,6 +590,12 @@ func (s *simulator) processEvents() error {
 		case evAddrDone:
 			e.addrDone = true
 			ti := s.inst(ev.seq)
+			e.part = uint8(s.hier.Steer(ti.AccessInfo()))
+			if !ti.IsLoad() && !e.earlyAddr {
+				if err := s.queue(e.queue).resolveAddr(ev.seq); err != nil {
+					return err
+				}
+			}
 			if s.trc != nil {
 				s.emit(ev.seq, obs.EvAddrReady, 0)
 			}
@@ -398,8 +607,7 @@ func (s *simulator) processEvents() error {
 					return err
 				}
 			}
-			s.memPending = append(s.memPending, ev.seq)
-			s.pendDirty = true
+			s.memPending = insertSeq(s.memPending, ev.seq)
 		}
 	}
 	return nil
@@ -429,10 +637,8 @@ func (s *simulator) recoverSteering(seq int64, e *robEntry, ti *TraceInst) error
 		from, to = &s.lvaq, &s.lsq
 		toQ = qLSQ
 	}
-	var ok bool
-	if *from, ok = removeSeq(*from, seq); !ok {
-		return fmt.Errorf("%w: seq %d absent from its steering queue during recovery",
-			ErrInvariant, seq)
+	if err := from.moveTo(to, seq, !ti.IsLoad()); err != nil {
+		return err
 	}
 	if s.trc != nil {
 		s.emit(seq, obs.EvRecoveryCancel, 0)
@@ -442,10 +648,8 @@ func (s *simulator) recoverSteering(seq int64, e *robEntry, ti *TraceInst) error
 			return err
 		}
 	}
-	*to = insertSeq(*to, seq)
 	e.queue = toQ
-	e.earlyAddr = !ti.IsLoad() &&
-		(ti.Flags&FlagEarlyAddr != 0 || (toQ == qLVAQ && s.cfg.FastForward))
+	e.earlyAddr = s.earlyAddr(ti, toQ)
 	e.readyAt = s.now + int64(s.cfg.MispredictPenalty)
 	s.res.Recoveries++
 	if s.trc != nil {
@@ -462,6 +666,13 @@ func (s *simulator) recoverSteering(seq int64, e *robEntry, ti *TraceInst) error
 		}
 	}
 	return nil
+}
+
+// earlyAddr reports whether a memory entry in queue q has a usable
+// address from dispatch: a store whose addressing mode makes it
+// manifest, or any store in the LVAQ under fast forwarding.
+func (s *simulator) earlyAddr(ti *TraceInst, q uint8) bool {
+	return !ti.IsLoad() && (ti.Flags&FlagEarlyAddr != 0 || (q == qLVAQ && s.cfg.FastForward))
 }
 
 // removeSeq deletes seq from a program-ordered queue, reporting whether
@@ -481,11 +692,8 @@ func removeSeq(q []int64, seq int64) ([]int64, bool) {
 
 // insertSeq adds seq to a program-ordered queue, keeping the order.
 func insertSeq(q []int64, seq int64) []int64 {
-	i := sort.Search(len(q), func(i int) bool { return q[i] >= seq })
-	q = append(q, 0)
-	copy(q[i+1:], q[i:])
-	q[i] = seq
-	return q
+	i, _ := slices.BinarySearch(q, seq)
+	return slices.Insert(q, i, seq)
 }
 
 // finish marks an entry done and wakes its consumers.
@@ -525,7 +733,7 @@ func (s *simulator) maybeWake(seq int64, e *robEntry) {
 	}
 	if ok {
 		e.state = stReady
-		heap.Push(&s.ready, seq)
+		s.ready.push(seq)
 	}
 }
 
@@ -534,10 +742,6 @@ func (s *simulator) maybeWake(seq int64, e *robEntry) {
 func (s *simulator) memScan() {
 	if len(s.memPending) == 0 {
 		return
-	}
-	if s.pendDirty {
-		sort.Slice(s.memPending, func(i, j int) bool { return s.memPending[i] < s.memPending[j] })
-		s.pendDirty = false
 	}
 	copy(s.budget, s.ports)
 
@@ -553,8 +757,6 @@ func (s *simulator) memScan() {
 			keep = append(keep, seq) // store data not produced yet
 			continue
 		}
-		pi := s.hier.Steer(ti.AccessInfo())
-
 		if ti.IsLoad() {
 			switch s.resolveLoad(seq, e, ti) {
 			case loadBlocked:
@@ -568,6 +770,7 @@ func (s *simulator) memScan() {
 				continue
 			}
 		}
+		pi := int(e.part)
 		pool := int64(obs.PoolL1)
 		if pi != 0 {
 			pool = obs.PoolLVC
@@ -621,27 +824,9 @@ const (
 // blocks on a matching store whose data is not. With fast forwarding,
 // LVAQ store addresses (frame+offset) count as known from dispatch.
 func (s *simulator) resolveLoad(seq int64, e *robEntry, ti *TraceInst) int {
-	q := s.lsq
-	if e.queue == qLVAQ {
-		q = s.lvaq
-	}
-	word := ti.Addr >> 2
-	var match int64 = -1
-	for _, os := range q {
-		if os >= seq {
-			break
-		}
-		oe := s.slot(os)
-		oi := s.inst(os)
-		if oi.IsLoad() {
-			continue
-		}
-		if !oe.addrDone && !oe.earlyAddr {
-			return loadBlocked
-		}
-		if oi.Addr>>2 == word {
-			match = os
-		}
+	match, blocked := s.queue(e.queue).olderStore(seq, ti.Addr>>2)
+	if blocked {
+		return loadBlocked
 	}
 	if match >= 0 {
 		me := s.slot(match)
@@ -679,10 +864,10 @@ func (s *simulator) issue() int {
 	intALU, fpALU := s.cfg.IntALU, s.cfg.FPALU
 	intMD, fpMD := s.cfg.IntMulDiv, s.cfg.FPMulDiv
 
-	var deferred []int64
+	deferred := s.deferred[:0]
 	issued := 0
 	for budget > 0 && len(s.ready) > 0 {
-		seq := heap.Pop(&s.ready).(int64)
+		seq := s.ready.pop()
 		if seq < s.headSeq {
 			continue
 		}
@@ -727,8 +912,9 @@ func (s *simulator) issue() int {
 	}
 	for _, seq := range deferred {
 		s.slot(seq).state = stReady
-		heap.Push(&s.ready, seq)
+		s.ready.push(seq)
 	}
+	s.deferred = deferred
 	return issued
 }
 
@@ -741,7 +927,7 @@ func take(n *int) bool {
 }
 
 func (s *simulator) schedule(kind uint8, seq, cycle int64) {
-	heap.Push(&s.events, event{cycle: cycle, seq: seq, kind: kind})
+	s.events.push(event{cycle: cycle, seq: seq, kind: kind})
 }
 
 // dispatch brings new trace instructions into the ROB (and LSQ/LVAQ),
@@ -760,11 +946,11 @@ func (s *simulator) dispatch() int {
 			if s.cfg.Decoupled() && ti.PredStack() {
 				queue = qLVAQ
 			}
-			if queue == qLSQ && len(s.lsq) >= s.cfg.LSQSize {
+			if queue == qLSQ && len(s.lsq.seqs) >= s.cfg.LSQSize {
 				s.res.StallQueue++
 				break
 			}
-			if queue == qLVAQ && len(s.lvaq) >= s.cfg.LVAQSize {
+			if queue == qLVAQ && len(s.lvaq.seqs) >= s.cfg.LVAQSize {
 				s.res.StallQueue++
 				break
 			}
@@ -808,17 +994,9 @@ func (s *simulator) dispatch() int {
 				s.lastWriter[ti.Dest] = seq
 			}
 		}
-		switch queue {
-		case qLSQ:
-			s.lsq = append(s.lsq, seq)
-		case qLVAQ:
-			s.lvaq = append(s.lvaq, seq)
-			if s.cfg.FastForward && !ti.IsLoad() {
-				e.earlyAddr = true
-			}
-		}
-		if queue != qNone && !ti.IsLoad() && ti.Flags&FlagEarlyAddr != 0 {
-			e.earlyAddr = true
+		if queue != qNone {
+			e.earlyAddr = s.earlyAddr(ti, queue)
+			s.queue(queue).add(seq, ti, e.earlyAddr)
 		}
 		s.maybeWake(seq, e)
 	}

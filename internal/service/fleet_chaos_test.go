@@ -101,6 +101,14 @@ func TestFleetEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The coordinator marks the job complete before the worker has read
+	// the answer to its last completion. Give the worker time to count
+	// that answer before shutting it down, or the count below races the
+	// cancel.
+	for deadline := time.Now().Add(10 * time.Second); w.Stats().Completed < uint64(len(req.Units)) &&
+		time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 	wg.Wait()
 	if final.State != JobComplete {
