@@ -13,8 +13,10 @@
 // restricts the report to the profiling and prediction experiments.
 // With -server, the E7/E11 grids are submitted to a running arld
 // instead of simulated in-process — the assembled sections are
-// byte-identical to a local run — while everything else (including the
-// E15 storm study, which instruments the simulation) stays local.
+// byte-identical to a local run — while everything else stays local,
+// including the E15 storm study: it runs through the same Runner
+// stages (memo, store, -resume, metrics, RunStats), but arld does not
+// serve stormed traces.
 // -timeout arms a per-workload watchdog and degrades gracefully: a
 // workload that cannot finish a stage in time is reported in a
 // "workload errors" section instead of aborting the whole report.

@@ -14,8 +14,9 @@
 // their units to a running arld and assemble the report from the
 // returned results — byte-identical to a local run, with overlapping
 // units deduplicated server-side across concurrent clients. The
-// steering and fast-forward ablations instrument the simulation
-// in-process and stay local.
+// steering and fast-forward ablations run as ordinary Runner stages
+// (memoized, stored, resumable, recovery-checked), but arld serves
+// only the Figure 8 and penalty grids, so they stay local.
 //
 // With -trace-events, arlsim runs a single workload through one
 // configuration with the cycle-event tracer attached and writes a
@@ -110,7 +111,7 @@ func main() {
 // assembled through the same row assemblers the local path uses.
 func remoteRun(c *cliutil.Common, f8, abp, abs, abf bool) {
 	if abs || abf {
-		c.Fatalf("-ablationsteer and -ablationffwd instrument the simulation in-process; drop -server to run them")
+		c.Fatalf("-ablationsteer and -ablationffwd are not served by arld; drop -server to run them")
 	}
 	cl := c.ServiceClient()
 	workloads := c.Workloads()

@@ -1,10 +1,12 @@
 // Package decouple models the data-decoupling design space of §4: how
 // memory instructions are steered into the LSQ or LVAQ, and which
 // mechanisms (fast forwarding, recovery policy) the dual memory
-// pipeline enables. It builds the steering classifiers used by the
-// timing simulator and provides the ablation drivers comparing steering
-// policies — the paper's hardware ARPT against compiler-informed,
-// profile-oracle, and perfect steering.
+// pipeline enables. It names the steering policies the E12 ablation
+// compares — the paper's hardware ARPT against compiler-informed,
+// profile-oracle, and perfect steering — renders each into trace
+// options, and provides the Recovery witness that checks every
+// steering misprediction's detect→cancel→replay sequence. The
+// experiment Runner builds the traces and runs the simulations.
 package decouple
 
 import (
@@ -99,98 +101,4 @@ func TraceOptions(policy Policy, p *prog.Program, pr *profile.Profile) (cpu.Trac
 		return cpu.TraceOptions{}, err
 	}
 	return cpu.TraceOptions{Classifier: cls}, nil
-}
-
-// PolicyResult is one cell of the steering-policy ablation.
-type PolicyResult struct {
-	Policy      Policy
-	Cycles      uint64
-	IPC         float64
-	Mispredicts uint64
-	Accuracy    float64 // steering accuracy over the trace, percent
-}
-
-// ComparePolicies runs program p through the (3+3) configuration under
-// every steering policy and reports the results. maxInsts truncates the
-// trace when positive. It rebuilds every policy trace from scratch;
-// callers that already hold the default-steering trace should use
-// ComparePoliciesReusing.
-func ComparePolicies(p *prog.Program, pr *profile.Profile, maxInsts uint64) ([]PolicyResult, error) {
-	return ComparePoliciesReusing(p, pr, maxInsts, nil)
-}
-
-// ComparePoliciesReusing is ComparePolicies with an optional pre-built
-// PolicyARPT trace. The default cpu.BuildTrace options (nil classifier)
-// produce exactly the PolicyARPT steering, so a caller holding that
-// trace — e.g. the experiment Runner's memo — passes it as arpt and
-// saves one full functional re-execution; the trace must have been
-// built with the same maxInsts. A nil arpt rebuilds every policy.
-func ComparePoliciesReusing(p *prog.Program, pr *profile.Profile, maxInsts uint64, arpt *cpu.Trace) ([]PolicyResult, error) {
-	var out []PolicyResult
-	cfg := cpu.Decoupled(3, 3)
-	for _, pol := range AllPolicies {
-		tr := arpt
-		if pol != PolicyARPT || tr == nil {
-			opts, err := TraceOptions(pol, p, pr)
-			if err != nil {
-				return nil, err
-			}
-			opts.MaxInsts = maxInsts
-			tr, err = cpu.BuildTrace(p, opts)
-			if err != nil {
-				return nil, err
-			}
-		}
-		rec := NewRecovery()
-		sim, err := cpu.New(cfg, cpu.WithRecovery(rec))
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(tr)
-		if err != nil {
-			return nil, err
-		}
-		if !rec.Complete() {
-			return nil, fmt.Errorf("decouple: %s/%s: %d recoveries left incomplete",
-				tr.Name, pol, rec.Outstanding())
-		}
-		out = append(out, PolicyResult{
-			Policy:      pol,
-			Cycles:      res.Cycles,
-			IPC:         res.IPC(),
-			Mispredicts: res.ARPTMispredicts,
-			Accuracy:    tr.PredictorStats.Accuracy(),
-		})
-	}
-	return out, nil
-}
-
-// FastForwardResult is one cell of the fast-forwarding ablation.
-type FastForwardResult struct {
-	FastForward  bool
-	Cycles       uint64
-	IPC          float64
-	FastForwards uint64
-}
-
-// CompareFastForward runs one trace through (3+3) with and without the
-// LVAQ's offset-based fast forwarding (§4.2's "more specialized
-// handling of each partitioned stream").
-func CompareFastForward(tr *cpu.Trace) ([]FastForwardResult, error) {
-	var out []FastForwardResult
-	for _, ff := range []bool{true, false} {
-		cfg := cpu.Decoupled(3, 3)
-		cfg.FastForward = ff
-		res, err := cpu.Simulate(tr, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, FastForwardResult{
-			FastForward:  ff,
-			Cycles:       res.Cycles,
-			IPC:          res.IPC(),
-			FastForwards: res.FastForwards,
-		})
-	}
-	return out, nil
 }

@@ -3,7 +3,6 @@ package decouple
 import (
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/minicc"
 	"repro/internal/profile"
 )
@@ -76,76 +75,5 @@ func TestClassifierConstruction(t *testing.T) {
 	}
 	if _, err := Classifier(PolicyOracle, p, nil); err == nil {
 		t.Error("oracle policy without a profile should fail")
-	}
-}
-
-func TestComparePolicies(t *testing.T) {
-	p, err := minicc.Compile("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := profile.Run(p, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := ComparePolicies(p, pr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(AllPolicies) {
-		t.Fatalf("got %d results", len(results))
-	}
-	byPolicy := map[Policy]PolicyResult{}
-	for _, r := range results {
-		byPolicy[r.Policy] = r
-		if r.Cycles == 0 || r.IPC <= 0 {
-			t.Errorf("%v: degenerate result %+v", r.Policy, r)
-		}
-	}
-	// Perfect steering never mispredicts and is at least as fast as
-	// static-only steering (which sends the mixed helper's stack work
-	// through the wrong pipeline).
-	if byPolicy[PolicyPerfect].Mispredicts != 0 {
-		t.Errorf("perfect steering mispredicted %d times", byPolicy[PolicyPerfect].Mispredicts)
-	}
-	if byPolicy[PolicyPerfect].Accuracy != 100 {
-		t.Errorf("perfect accuracy = %.2f", byPolicy[PolicyPerfect].Accuracy)
-	}
-	if byPolicy[PolicyPerfect].Cycles > byPolicy[PolicyStaticOnly].Cycles+byPolicy[PolicyStaticOnly].Cycles/50 {
-		t.Errorf("perfect (%d cycles) slower than static-only (%d)",
-			byPolicy[PolicyPerfect].Cycles, byPolicy[PolicyStaticOnly].Cycles)
-	}
-	// The ARPT must land close to perfect — that is the paper's thesis.
-	gap := float64(byPolicy[PolicyARPT].Cycles) / float64(byPolicy[PolicyPerfect].Cycles)
-	if gap > 1.05 {
-		t.Errorf("ARPT steering %.3fx slower than perfect", gap)
-	}
-}
-
-func TestCompareFastForward(t *testing.T) {
-	p, err := minicc.Compile("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := cpu.BuildTrace(p, cpu.TraceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := CompareFastForward(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	with, without := results[0], results[1]
-	if !with.FastForward || without.FastForward {
-		t.Fatal("result order")
-	}
-	if without.FastForwards != 0 {
-		t.Errorf("fast forwards counted while disabled: %d", without.FastForwards)
-	}
-	if with.Cycles > without.Cycles {
-		t.Errorf("fast forwarding slowed the machine: %d vs %d", with.Cycles, without.Cycles)
 	}
 }

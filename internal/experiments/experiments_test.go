@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/decouple"
+	"repro/internal/obs"
 	"repro/internal/region"
 	"repro/internal/workload"
 )
@@ -224,6 +227,10 @@ func TestContextSweep(t *testing.T) {
 	_ = RenderContextSweep(rows)
 }
 
+// TestSteeringAndFastForwardDrivers checks the E12 and E13 drivers'
+// headline properties: perfect steering never mispredicts, the ARPT
+// lands within 5% of it (the paper's thesis), and turning LVAQ fast
+// forwarding off counts no fast forwards and cannot speed the machine.
 func TestSteeringAndFastForwardDrivers(t *testing.T) {
 	r := quickRunner(t, "go")
 	r.MaxInsts = 250_000
@@ -231,13 +238,28 @@ func TestSteeringAndFastForwardDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || len(rows[0].Results) != 5 {
+	if len(rows) != 1 || len(rows[0].Results) != len(decouple.AllPolicies) {
 		t.Fatalf("steering rows = %+v", rows)
 	}
+	byPolicy := map[decouple.Policy]PolicyResult{}
 	for _, res := range rows[0].Results {
-		if res.Cycles == 0 {
-			t.Errorf("%v: zero cycles", res.Policy)
+		byPolicy[res.Policy] = res
+		if res.Cycles == 0 || res.IPC <= 0 {
+			t.Errorf("%v: degenerate result %+v", res.Policy, res)
 		}
+	}
+	perfect, arpt, static := byPolicy[decouple.PolicyPerfect], byPolicy[decouple.PolicyARPT], byPolicy[decouple.PolicyStaticOnly]
+	if perfect.Mispredicts != 0 {
+		t.Errorf("perfect steering mispredicted %d times", perfect.Mispredicts)
+	}
+	if perfect.Accuracy != 100 {
+		t.Errorf("perfect accuracy = %.2f", perfect.Accuracy)
+	}
+	if perfect.Cycles > static.Cycles+static.Cycles/50 {
+		t.Errorf("perfect (%d cycles) slower than static-only (%d)", perfect.Cycles, static.Cycles)
+	}
+	if gap := float64(arpt.Cycles) / float64(perfect.Cycles); gap > 1.05 {
+		t.Errorf("ARPT steering %.3fx slower than perfect", gap)
 	}
 	_ = RenderSteering(rows)
 
@@ -245,8 +267,63 @@ func TestSteeringAndFastForwardDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ff) != 1 || ff[0].SpeedupFF <= 0 {
-		t.Fatalf("ffwd rows = %+v", ff)
+	if len(ff) != 1 || ff[0].SpeedupFF < 1 {
+		t.Fatalf("fast forwarding slowed the machine: ffwd rows = %+v", ff)
+	}
+	if ff[0].FastForwards == 0 {
+		t.Errorf("no fast forwards with the LVAQ forwarding enabled")
+	}
+	off, err := r.SimulateConfig(r.Workloads[0], noFastForward())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.FastForwards != 0 {
+		t.Errorf("fast forwards counted while disabled: %d", off.FastForwards)
 	}
 	_ = RenderFastForward(ff)
+}
+
+// TestTaggedSimulationsKeepOwnSeries guards the metric-series
+// collision: simulations over a tagged trace share their config name
+// with the default-trace run, so they must publish under an extra
+// trace label instead of summing into its series, while default-trace
+// series keep their label set.
+func TestTaggedSimulationsKeepOwnSeries(t *testing.T) {
+	r := quickRunner(t, "li")
+	r.MaxInsts = 20_000
+	r.Obs = obs.NewRegistry()
+	w, cfg := r.Workloads[0], cpu.Decoupled(3, 3)
+	plain, err := r.SimulateConfigARPT(w, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := r.SimulateConfigARPT(w, 1024, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stormed, err := r.simulateStorm(w, cfg, 1, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{
+		"":             plain.Cycles,
+		"arpt=1024":    small.Cycles,
+		"storm=1:0.05": stormed.Cycles,
+	}
+	got := map[string]uint64{}
+	for _, s := range r.Obs.Snapshot() {
+		if s.Name != "sim_cycles_total" {
+			continue
+		}
+		if s.Labels["workload"] != w.Name || s.Labels["config"] != cfg.Name {
+			t.Fatalf("unexpected series %v", s.Labels)
+		}
+		if n := len(s.Labels); n != 2 && n != 3 {
+			t.Fatalf("series %v: want workload, config and at most a trace label", s.Labels)
+		}
+		got[s.Labels["trace"]] = uint64(*s.Value)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sim_cycles_total by trace label = %v, want %v", got, want)
+	}
 }

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/cpu"
-	"repro/internal/decouple"
 	"repro/internal/faultinject"
 	"repro/internal/workload"
 )
@@ -26,86 +24,41 @@ type StormRow struct {
 	Recoveries  uint64
 }
 
-// RecoveryStorm runs E15: for every workload and storm rate it builds
-// a trace whose steering predictions are inverted with probability
-// rate (deterministic in seed; see faultinject.Storm), then simulates
-// the (3+3) machine across the recovery penalties with the full
-// detect→cancel→replay protocol validated. One stormed trace is built
-// per (workload, rate) and shared read-only by all penalty points.
+// RecoveryStorm runs E15: for every workload, storm rate and recovery
+// penalty it simulates the (3+3) machine over the default trace with
+// its steering predictions inverted at that rate (deterministic in
+// seed; see faultinject.Storm). Each point is a Runner simulation
+// tagged storm=<seed>:<rate>, so the storms share the memo, the store
+// and the recovery witness with every other study; rate 0 is the
+// plain penalty-sweep point and dedupes with E11.
 func (r *Runner) RecoveryStorm(seed uint64, rates []float64, penalties []int) ([]StormRow, error) {
 	if len(rates) == 0 || len(penalties) == 0 {
 		return nil, nil
 	}
-	nr, np := len(rates), len(penalties)
-	rows := make([]StormRow, len(r.Workloads)*nr*np)
-	err := r.parallelDo(len(r.Workloads)*nr, func(i int) error {
-		w, rate := r.Workloads[i/nr], rates[i%nr]
-		err := func() error {
-			p, err := r.Program(w)
-			if err != nil {
-				return err
-			}
-			base, err := r.SimulateConfig(w, cpu.Conventional(2, 2))
-			if err != nil {
-				return err
-			}
-			r.logf("storming %s at rate %.3f ...", w.Name, rate)
-			serr := r.stage(w.Name, fmt.Sprintf("storm %.3f", rate), func(ctx context.Context) error {
-				watched := r.watched()
-				opts := cpu.TraceOptions{
-					MaxInsts:   r.MaxInsts,
-					SteerFault: faultinject.Storm(seed, rate),
-				}
-				if watched {
-					opts.Ctx = ctx
-				}
-				tr, err := cpu.BuildTrace(p, opts)
-				if err != nil {
-					return &WorkloadError{Workload: w.Name, Stage: "storm trace", Err: err}
-				}
-				for pi, pen := range penalties {
-					cfg := cpu.Decoupled(3, 3)
-					cfg.MispredictPenalty = pen
-					rec := decouple.NewRecovery()
-					simOpts := []cpu.Option{cpu.WithRecovery(rec)}
-					if watched {
-						simOpts = append(simOpts, cpu.WithContext(ctx))
-					}
-					sim, err := cpu.New(cfg, simOpts...)
-					if err != nil {
-						return &WorkloadError{Workload: w.Name, Stage: "storm simulate", Err: err}
-					}
-					res, err := sim.Run(tr)
-					if err != nil {
-						return &WorkloadError{Workload: w.Name, Stage: "storm simulate", Err: err}
-					}
-					if !rec.Complete() {
-						return &WorkloadError{Workload: w.Name, Stage: "storm simulate",
-							Err: fmt.Errorf("%d recoveries incomplete", rec.Outstanding())}
-					}
-					rows[i*np+pi] = StormRow{
-						Name: w.Name, Rate: rate, Penalty: pen,
-						Speedup:     res.Speedup(base),
-						IPC:         res.IPC(),
-						Mispredicts: res.ARPTMispredicts,
-						Recoveries:  res.Recoveries,
-					}
-				}
-				return nil
-			})
-			var we *WorkloadError
-			if serr != nil && !errors.As(serr, &we) {
-				// The breaker tripping (or retry exhaustion on a bare
-				// error) surfaces here unwrapped; dress it so degraded
-				// batches render it like any other workload failure.
-				serr = &WorkloadError{Workload: w.Name, Stage: "storm", Err: serr}
-			}
-			return serr
-		}()
-		if err != nil && r.degraded(err) {
-			return nil // the workload's rows stay zero; filtered below
+	np := len(penalties)
+	per := len(rates) * np
+	rows := make([]StormRow, len(r.Workloads)*per)
+	err := r.parallelDo(len(rows), func(i int) error {
+		w, rate, pen := r.Workloads[i/per], rates[i%per/np], penalties[i%np]
+		base, err := r.SimulateConfig(w, cpu.Conventional(2, 2))
+		var res *cpu.Result
+		if err == nil {
+			res, err = r.simulateStorm(w, PenaltyConfig(pen), seed, rate)
 		}
-		return err
+		if err != nil {
+			if r.degraded(err) {
+				return nil // the row stays zero; filtered below
+			}
+			return err
+		}
+		rows[i] = StormRow{
+			Name: w.Name, Rate: rate, Penalty: pen,
+			Speedup:     res.Speedup(base),
+			IPC:         res.IPC(),
+			Mispredicts: res.ARPTMispredicts,
+			Recoveries:  res.Recoveries,
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -117,6 +70,22 @@ func (r *Runner) RecoveryStorm(seed uint64, rates []float64, penalties []int) ([
 		}
 	}
 	return kept, nil
+}
+
+// simulateStorm simulates cfg over w's default trace stormed at rate.
+// The stormed trace is a cheap transform of the memoized one, so it is
+// rebuilt per simulation rather than memoized.
+func (r *Runner) simulateStorm(w *workload.Workload, cfg cpu.Config, seed uint64, rate float64) (*cpu.Result, error) {
+	if rate <= 0 {
+		return r.SimulateConfig(w, cfg)
+	}
+	return r.simulate(w, cfg, fmt.Sprintf("storm=%d:%g", seed, rate), func() (*cpu.Trace, error) {
+		tr, err := r.Trace(w)
+		if err != nil {
+			return nil, err
+		}
+		return faultinject.Storm(tr, seed, rate), nil
+	})
 }
 
 // FaultCampaignConfig canonicalizes one differential fault campaign's

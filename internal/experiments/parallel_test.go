@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/decouple"
 	"repro/internal/workload"
 )
 
@@ -132,49 +134,115 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTraceAndBaselineReuse asserts a report-style sequence builds each
-// trace once and that the penalty sweep rides entirely on simulation
-// results Figure 8 already memoized.
+// memoKeys lists the keys a memo has claimed (sorted).
+func memoKeys[T any](c *memo[T]) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	keys := make([]string, 0, len(c.m))
+	for k := range c.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// defaultTraces counts the memoized default-steering traces (the keys
+// without a trace tag).
+func defaultTraces(r *Runner) int {
+	n := 0
+	for _, k := range memoKeys(&r.traces) {
+		if !strings.Contains(k, "|") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTraceAndBaselineReuse asserts a report-style sequence builds one
+// default trace per workload, that the penalty sweep rides entirely on
+// simulation results Figure 8 already memoized, and that E12's ARPT
+// arm, E13's fast-forwarding arm and E15's rate-0 arms add no
+// simulation after Figure 8 + E11: the only new units are the tagged
+// policy arms and the fast-forwarding-off machine.
 func TestTraceAndBaselineReuse(t *testing.T) {
 	r := quickRunner(t, "compress", "li")
+	r.MaxInsts = 100_000
 	r.Parallel = 4
 	configs := []cpu.Config{cpu.Conventional(2, 2), cpu.Decoupled(3, 3)}
 	if _, err := r.FigureWithConfigs(configs); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := r.FastForwardAblation(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := r.traces.len(), len(r.Workloads); got != want {
-		t.Errorf("trace memo holds %d entries after Figure8+ffwd, want %d (one per workload)", got, want)
 	}
 	sims := r.results.len()
 	if want := len(r.Workloads) * len(configs); sims != want {
 		t.Errorf("result memo holds %d entries after Figure8, want %d", sims, want)
 	}
 	// Penalty 1 is Decoupled(3,3)'s default, and the (2+0) baseline is
-	// configs[0]: the sweep must not trigger a single new simulation.
+	// configs[0]: that sweep point must not trigger a new simulation.
 	if _, err := r.PenaltySweep([]int{1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.results.len(); got != sims {
 		t.Errorf("penalty sweep added %d simulations, want 0 (baseline and (3+3) memoized)", got-sims)
 	}
-	if got, want := r.traces.len(), len(r.Workloads); got != want {
-		t.Errorf("trace memo holds %d entries after penalty sweep, want %d", got, want)
+	penalties := []int{1, 16}
+	if _, err := r.PenaltySweep(penalties); err != nil {
+		t.Fatal(err)
+	}
+	before := make(map[string]bool)
+	for _, k := range memoKeys(&r.results) {
+		before[k] = true
+	}
+
+	if _, err := r.SteeringPolicies(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.FastForwardAblation(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RecoveryStorm(1, []float64{0}, penalties); err != nil {
+		t.Fatal(err)
+	}
+	var added []string
+	for _, k := range memoKeys(&r.results) {
+		if before[k] {
+			continue
+		}
+		added = append(added, k)
+		if !strings.Contains(k, "|policy=") && !strings.Contains(k, "(3+3,noffwd)") {
+			t.Errorf("ablations simulated %q, which Figure 8 + E11 already cover", k)
+		}
+	}
+	if want := len(r.Workloads) * len(decouple.AllPolicies); len(added) != want {
+		t.Errorf("ablations added %d simulations, want %d (4 tagged policies + ffwd off per workload):\n%s",
+			len(added), want, strings.Join(added, "\n"))
+	}
+	if got, want := defaultTraces(r), len(r.Workloads); got != want {
+		t.Errorf("trace memo holds %d default traces, want %d (one per workload)", got, want)
 	}
 }
 
-// TestSteeringReusesMemoTrace asserts the steering ablation pulls the
-// PolicyARPT trace from the Runner memo rather than rebuilding it.
+// TestSteeringReusesMemoTrace asserts the steering ablation takes the
+// PolicyARPT trace and (3+3) simulation from the Runner memo: one
+// default trace plus one tagged trace per other policy, and the ARPT
+// arm is the very unit SimulateConfig memoizes.
 func TestSteeringReusesMemoTrace(t *testing.T) {
 	r := quickRunner(t, "compress")
 	r.MaxInsts = 100_000
 	if _, err := r.SteeringPolicies(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.traces.len(); got != 1 {
-		t.Errorf("trace memo holds %d entries, want 1", got)
+	if got := defaultTraces(r); got != 1 {
+		t.Errorf("trace memo holds %d default traces, want 1", got)
+	}
+	if got, want := r.traces.len(), len(decouple.AllPolicies); got != want {
+		t.Errorf("trace memo holds %d entries, want %d (default + one per other policy)", got, want)
+	}
+	sims := r.results.len()
+	if _, err := r.SimulateConfig(r.Workloads[0], cpu.Decoupled(3, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.results.len(); got != sims {
+		t.Errorf("(3+3) on the default trace was not memoized by the ARPT arm")
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cpu"
+	"repro/internal/decouple"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/store"
@@ -43,7 +44,8 @@ func resumeRunner(t *testing.T, dir string, resume bool) *Runner {
 }
 
 // resumeCampaign runs the fixed campaign and renders its deterministic
-// report: the Figure 8 table over the two configurations.
+// report: the Figure 8 table over the two configurations, then the
+// E12 steering, E13 fast-forwarding and E15 storm sections.
 func resumeCampaign(r *Runner) (string, error) {
 	type cell struct {
 		w   *workload.Workload
@@ -68,6 +70,21 @@ func resumeCampaign(r *Runner) (string, error) {
 		}
 		fmt.Fprintln(&b)
 	}
+	steer, err := r.SteeringPolicies()
+	if err != nil {
+		return "", err
+	}
+	b.WriteString(RenderSteering(steer))
+	ff, err := r.FastForwardAblation()
+	if err != nil {
+		return "", err
+	}
+	b.WriteString(RenderFastForward(ff))
+	storm, err := r.RecoveryStorm(3, []float64{0, 0.05}, []int{2})
+	if err != nil {
+		return "", err
+	}
+	b.WriteString(RenderRecoveryStorm(storm))
 	return b.String(), nil
 }
 
@@ -317,6 +334,16 @@ func TestStoreWriteThroughAndReload(t *testing.T) {
 	if w := first.Store.Stats().Writes; w == 0 {
 		t.Fatal("write-through produced no store records")
 	}
+	// Every study simulates through the Runner: per workload the two
+	// Figure 8 machines, four tagged policy arms, fast forwarding off,
+	// and the two E15 rate points at penalty 2.
+	sims := 0
+	for _, s := range first.RunStats() {
+		sims += s.Sims
+	}
+	if want := len(first.Workloads) * (len(resumeConfigs) + len(decouple.AllPolicies) - 1 + 1 + 2); sims != want {
+		t.Fatalf("campaign ran %d Runner simulations, want %d", sims, want)
+	}
 
 	second := resumeRunner(t, dir, true)
 	gotReport, err := resumeCampaign(second)
@@ -330,10 +357,11 @@ func TestStoreWriteThroughAndReload(t *testing.T) {
 	if st.Hits == 0 {
 		t.Fatalf("second run had no store hits: %+v", st)
 	}
-	// The resumed run must not have rebuilt the expensive trace.
+	// The resumed run must not have rebuilt a trace or rerun a
+	// simulation, E12's policy traces and E15's storms included.
 	for _, s := range second.RunStats() {
-		if s.TraceWall != 0 {
-			t.Fatalf("resumed run rebuilt a trace: %+v", s)
+		if s.TraceWall != 0 || s.Sims != 0 {
+			t.Fatalf("resumed run rebuilt a trace or simulated: %+v", s)
 		}
 	}
 	if !bytes.Equal(artifactBytes(t, second.Obs), artifactBytes(t, first.Obs)) {

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/decouple"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -345,7 +346,11 @@ func (r *Runner) stage(wl, stage string, fn func(ctx context.Context) error) err
 // v2: configs key on cpu.Config.Key() (full-field, Stringer-proof),
 // results carry per-partition statistics, and cache metrics gained the
 // partition label — v1 records would replay the old label set.
-const storeVersion = "arl/v2"
+//
+// v3: simulations over a tagged trace (arpt=N, policy=..., storm=...)
+// publish their metrics with a trace label — v2 fragments of ARPT
+// variants would replay without it.
+const storeVersion = "arl/v3"
 
 // storeKey builds the canonical store key for one artifact of this
 // runner's campaign (its scale and instruction budget are part of the
@@ -505,7 +510,7 @@ func (r *Runner) Profile(w *workload.Workload) (*profile.Profile, error) {
 // memoized trace safely backs any number of concurrent simulations
 // across machine configurations.
 func (r *Runner) Trace(w *workload.Workload) (*cpu.Trace, error) {
-	return r.trace(w, w.Name, "", nil)
+	return r.trace(w, "", nil)
 }
 
 // TraceARPT builds (and memoizes) a workload's timing trace with the
@@ -517,28 +522,64 @@ func (r *Runner) TraceARPT(w *workload.Workload, entries int) (*cpu.Trace, error
 	if entries == 0 {
 		return r.Trace(w)
 	}
-	tag := fmt.Sprintf("arpt=%d", entries)
-	return r.trace(w, w.Name+"|"+tag, tag, func() (*core.Classifier, error) {
+	return r.trace(w, arptTag(entries), func(*prog.Program) (cpu.TraceOptions, error) {
 		pcfg := core.DefaultPipelineConfig()
 		pcfg.Entries = entries
 		table, err := core.NewARPT(pcfg)
 		if err != nil {
-			return nil, err
+			return cpu.TraceOptions{}, err
 		}
-		return core.NewClassifier(
+		cls, err := core.NewClassifier(
 			core.ClassifierConfig{Scheme: cpu.Scheme1BitHybridPipeline},
 			core.WithTable(table))
+		return cpu.TraceOptions{Classifier: cls}, err
 	})
 }
 
-// trace is the shared trace stage behind Trace and TraceARPT: memoKey
-// names the memo entry, storeCfg the store key's config field, and
-// classifier (when non-nil) builds the steering classifier per attempt
-// (classifier state is mutable and must not be shared across retries).
-func (r *Runner) trace(w *workload.Workload, memoKey, storeCfg string,
-	classifier func() (*core.Classifier, error)) (*cpu.Trace, error) {
+func arptTag(entries int) string { return fmt.Sprintf("arpt=%d", entries) }
+
+// policyTag names a steering policy's trace identity. PolicyARPT is
+// exactly the default trace, so it has no tag.
+func policyTag(pol decouple.Policy) string {
+	if pol == decouple.PolicyARPT {
+		return ""
+	}
+	return "policy=" + pol.String()
+}
+
+// tracePolicy builds (and memoizes) a workload's timing trace under one
+// E12 steering policy.
+func (r *Runner) tracePolicy(w *workload.Workload, pol decouple.Policy) (*cpu.Trace, error) {
+	tag := policyTag(pol)
+	if tag == "" {
+		return r.Trace(w)
+	}
+	var pr *profile.Profile
+	if pol == decouple.PolicyOracle {
+		var err error
+		if pr, err = r.Profile(w); err != nil {
+			return nil, err
+		}
+	}
+	return r.trace(w, tag, func(p *prog.Program) (cpu.TraceOptions, error) {
+		return decouple.TraceOptions(pol, p, pr)
+	})
+}
+
+// trace is the one trace stage. tag names a non-default trace ("" is
+// the default-steering trace) and extends both the memo key and the
+// store key's config field; options (nil for the defaults) renders the
+// steering setup per attempt, because classifier state is mutable and
+// must not be shared across retries.
+func (r *Runner) trace(w *workload.Workload, tag string,
+	options func(*prog.Program) (cpu.TraceOptions, error)) (*cpu.Trace, error) {
+	memoKey, label := w.Name, w.Name
+	if tag != "" {
+		memoKey += "|" + tag
+		label += " (" + tag + ")"
+	}
 	return r.traces.get(memoKey, func() (*cpu.Trace, error) {
-		key := r.storeKey("trace", w.Name, storeCfg)
+		key := r.storeKey("trace", w.Name, tag)
 		stored := new(cpu.Trace)
 		if r.storeLoad(key, stored) {
 			r.noteTrace(w.Name, uint64(len(stored.Insts)), 0)
@@ -548,19 +589,19 @@ func (r *Runner) trace(w *workload.Workload, memoKey, storeCfg string,
 		if err != nil {
 			return nil, err
 		}
-		r.logf("tracing %s ...", w.Name)
+		r.logf("tracing %s ...", label)
 		var tr *cpu.Trace
 		err = r.stage(w.Name, "trace", func(ctx context.Context) error {
-			opts := cpu.TraceOptions{MaxInsts: r.MaxInsts}
-			if r.watched() {
-				opts.Ctx = ctx
-			}
-			if classifier != nil {
-				cls, err := classifier()
-				if err != nil {
+			var opts cpu.TraceOptions
+			if options != nil {
+				var err error
+				if opts, err = options(p); err != nil {
 					return err
 				}
-				opts.Classifier = cls
+			}
+			opts.MaxInsts = r.MaxInsts
+			if r.watched() {
+				opts.Ctx = ctx
 			}
 			start := time.Now() //arlvet:allow wallclock RunStats measures harness cost; wall time never reaches simulation results
 			var err error
@@ -601,7 +642,7 @@ type storedResult struct {
 // entries, while the (2+0) baseline that both Figure 8 and the penalty
 // sweep need is simulated exactly once.
 func (r *Runner) SimulateConfig(w *workload.Workload, cfg cpu.Config) (*cpu.Result, error) {
-	return r.simulate(w, cfg, 0)
+	return r.simulate(w, cfg, "", func() (*cpu.Trace, error) { return r.Trace(w) })
 }
 
 // SimulateConfigARPT simulates one workload under one machine
@@ -609,16 +650,30 @@ func (r *Runner) SimulateConfig(w *workload.Workload, cfg cpu.Config) (*cpu.Resu
 // pipeline default, collapsing onto SimulateConfig's records so
 // explorer points dedupe against plain campaigns).
 func (r *Runner) SimulateConfigARPT(w *workload.Workload, entries int, cfg cpu.Config) (*cpu.Result, error) {
-	return r.simulate(w, cfg, entries)
+	if entries == 0 {
+		return r.SimulateConfig(w, cfg)
+	}
+	return r.simulate(w, cfg, arptTag(entries), func() (*cpu.Trace, error) { return r.TraceARPT(w, entries) })
 }
 
-// simulate is the shared simulation stage: the ARPT size prefixes both
-// keys because it changes the trace the config runs over.
-func (r *Runner) simulate(w *workload.Workload, cfg cpu.Config, entries int) (*cpu.Result, error) {
-	cfgKey := cfg.Key()
-	if entries > 0 {
-		cfgKey = fmt.Sprintf("arpt=%d|%s", entries, cfgKey)
+// simulate is the one simulation stage. tag names the trace the
+// configuration runs over ("" for the default trace, as in trace): it
+// prefixes both the memo and the store key, and labels the published
+// metrics (trace=<tag>) so variants sharing a config name keep
+// separate series. trace is only called on a miss, so a resumed
+// simulation never rebuilds its input. Every simulation runs under a
+// decouple.Recovery witness and fails unless every steering
+// misprediction completed its detect→cancel→replay sequence.
+func (r *Runner) simulate(w *workload.Workload, cfg cpu.Config, tag string,
+	trace func() (*cpu.Trace, error)) (*cpu.Result, error) {
+	cfgKey, what := cfg.Key(), cfg.Name
+	var labels obs.Labels
+	if tag != "" {
+		cfgKey = tag + "|" + cfgKey
+		what += " " + tag
+		labels = obs.Labels{"trace": tag}
 	}
+	stage := "simulate " + what
 	key := w.Name + "|" + cfgKey
 	return r.results.get(key, func() (*cpu.Result, error) {
 		skey := r.storeKey("result", w.Name, cfgKey)
@@ -636,24 +691,25 @@ func (r *Runner) simulate(w *workload.Workload, cfg cpu.Config, entries int) (*c
 			}
 			return stored.Result, nil
 		}
-		tr, err := r.TraceARPT(w, entries)
+		tr, err := trace()
 		if err != nil {
 			return nil, err
 		}
-		r.logf("  %s %s ...", w.Name, cfg.Name)
+		r.logf("  %s %s ...", w.Name, what)
 		var res *cpu.Result
 		var frag *obs.Registry
-		err = r.stage(w.Name, "simulate "+cfg.Name, func(ctx context.Context) error {
+		err = r.stage(w.Name, stage, func(ctx context.Context) error {
 			// Each attempt publishes into a private registry so a
 			// failed attempt's partial metrics never leak into Obs or
 			// the store.
 			reg := obs.NewRegistry()
-			var simOpts []cpu.Option
+			rec := decouple.NewRecovery()
+			simOpts := []cpu.Option{cpu.WithRecovery(rec)}
 			if r.watched() {
 				simOpts = append(simOpts, cpu.WithContext(ctx))
 			}
 			if r.Obs != nil || r.Store != nil {
-				simOpts = append(simOpts, cpu.WithMetrics(reg, nil))
+				simOpts = append(simOpts, cpu.WithMetrics(reg, labels))
 			}
 			sim, err := cpu.New(cfg, simOpts...)
 			if err != nil {
@@ -664,25 +720,27 @@ func (r *Runner) simulate(w *workload.Workload, cfg cpu.Config, entries int) (*c
 			if err != nil {
 				return err
 			}
+			if !rec.Complete() {
+				return fmt.Errorf("%d recoveries left incomplete", rec.Outstanding())
+			}
 			r.noteSim(w.Name, res.Cycles, time.Since(start)) //arlvet:allow wallclock RunStats measures harness cost; wall time never reaches simulation results
 			frag = reg
 			return nil
 		})
 		if err != nil {
-			return nil, &WorkloadError{Workload: w.Name,
-				Stage: "simulate " + cfg.Name, Err: err}
+			return nil, &WorkloadError{Workload: w.Name, Stage: stage, Err: err}
 		}
 		var fragJSON []byte
 		if frag != nil {
 			samples := frag.Snapshot()
 			if r.Obs != nil {
 				if err := r.Obs.ImportSamples(samples); err != nil {
-					r.logf("obs: publishing %s %s: %v", w.Name, cfg.Name, err)
+					r.logf("obs: publishing %s %s: %v", w.Name, what, err)
 				}
 			}
 			var err error
 			if fragJSON, err = json.Marshal(samples); err != nil {
-				r.logf("obs: encoding metrics of %s %s: %v", w.Name, cfg.Name, err)
+				r.logf("obs: encoding metrics of %s %s: %v", w.Name, what, err)
 				fragJSON = nil
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cpu"
 	"repro/internal/decouple"
 	"repro/internal/workload"
 )
@@ -12,32 +13,43 @@ import (
 // (3+3) machine driven by different dispatch-steering policies.
 type SteeringRow struct {
 	Name    string
-	Results []decouple.PolicyResult
+	Results []PolicyResult
 }
 
-// SteeringPolicies runs E12 over the runner's workloads.
+// PolicyResult is one policy's (3+3) simulation in E12.
+type PolicyResult struct {
+	Policy      decouple.Policy
+	Cycles      uint64
+	IPC         float64
+	Mispredicts uint64
+	Accuracy    float64 // steering accuracy over the trace, percent
+}
+
+// SteeringPolicies runs E12 over the runner's workloads: each policy's
+// trace through the (3+3) machine. PolicyARPT steers exactly like the
+// default trace, so its arm is Figure 8's (3+3) simulation.
 func (r *Runner) SteeringPolicies() ([]SteeringRow, error) {
+	cfg := cpu.Decoupled(3, 3)
 	return forEach(r, func(w *workload.Workload) (SteeringRow, error) {
-		p, err := r.Program(w)
-		if err != nil {
-			return SteeringRow{}, err
+		row := SteeringRow{Name: w.Name}
+		for _, pol := range decouple.AllPolicies {
+			tr, err := r.tracePolicy(w, pol)
+			if err != nil {
+				return SteeringRow{}, err
+			}
+			res, err := r.simulate(w, cfg, policyTag(pol), func() (*cpu.Trace, error) { return tr, nil })
+			if err != nil {
+				return SteeringRow{}, err
+			}
+			row.Results = append(row.Results, PolicyResult{
+				Policy:      pol,
+				Cycles:      res.Cycles,
+				IPC:         res.IPC(),
+				Mispredicts: res.ARPTMispredicts,
+				Accuracy:    tr.PredictorStats.Accuracy(),
+			})
 		}
-		pr, err := r.Profile(w)
-		if err != nil {
-			return SteeringRow{}, err
-		}
-		// The default-steering memo trace is exactly the PolicyARPT
-		// trace, so the ablation rebuilds only the other policies.
-		tr, err := r.Trace(w)
-		if err != nil {
-			return SteeringRow{}, err
-		}
-		r.logf("steering ablation %s ...", w.Name)
-		results, err := decouple.ComparePoliciesReusing(p, pr, r.MaxInsts, tr)
-		if err != nil {
-			return SteeringRow{}, err
-		}
-		return SteeringRow{Name: w.Name, Results: results}, nil
+		return row, nil
 	})
 }
 
@@ -75,20 +87,29 @@ type FFRow struct {
 	FastForwards uint64
 }
 
+// noFastForward is the E13 (3+3) machine with LVAQ fast forwarding
+// off. Its name is a local label outside the canonical config grammar
+// (nothing parses it back); it exists so the arm's metrics never merge
+// into Figure 8's (3+3) series.
+func noFastForward() cpu.Config {
+	cfg := cpu.Decoupled(3, 3)
+	cfg.Name = "(3+3,noffwd)"
+	cfg.FastForward = false
+	return cfg
+}
+
 // FastForwardAblation runs E13: (3+3) with and without LVAQ fast
-// forwarding.
+// forwarding. The enabled arm is Figure 8's (3+3) simulation.
 func (r *Runner) FastForwardAblation() ([]FFRow, error) {
 	return forEach(r, func(w *workload.Workload) (FFRow, error) {
-		r.logf("fast-forward ablation %s ...", w.Name)
-		tr, err := r.Trace(w)
+		with, err := r.SimulateConfig(w, cpu.Decoupled(3, 3))
 		if err != nil {
 			return FFRow{}, err
 		}
-		results, err := decouple.CompareFastForward(tr)
+		without, err := r.SimulateConfig(w, noFastForward())
 		if err != nil {
 			return FFRow{}, err
 		}
-		with, without := results[0], results[1]
 		return FFRow{
 			Name:         w.Name,
 			SpeedupFF:    float64(without.Cycles) / float64(with.Cycles),

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -130,23 +131,34 @@ func (inj *Injector) ExtraLatency(n uint64) int {
 	return extra
 }
 
-// Storm returns a steering-fault hook that inverts each prediction
+// Storm returns a copy of tr whose steering predictions are inverted
 // with the given probability — the misprediction-storm generator
-// behind the E15 recovery-penalty study. The decision for reference n
-// is a pure function of (seed, n), so storms are reproducible and
-// independent of evaluation order.
-func Storm(seed uint64, rate float64) func(ref uint64, pred core.Prediction) core.Prediction {
+// behind the E15 recovery-penalty study. The decision for the n-th
+// memory reference is a pure function of (seed, n), so storms are
+// reproducible and independent of evaluation order. The flip lands
+// after the classifier and never feeds back into it, so flipping the
+// finished trace equals building it with the flip as a SteerFault
+// hook. A rate of 0 (or less) returns tr itself; tr is never mutated.
+func Storm(tr *cpu.Trace, seed uint64, rate float64) *cpu.Trace {
 	if rate <= 0 {
-		return func(_ uint64, pred core.Prediction) core.Prediction { return pred }
+		return tr
 	}
 	if rate > 1 {
 		rate = 1
 	}
 	threshold := uint64(rate * (1 << 32))
-	return func(ref uint64, pred core.Prediction) core.Prediction {
-		if mix(seed, ref)&0xFFFFFFFF < threshold {
-			return !pred
+	out := *tr
+	out.Insts = slices.Clone(tr.Insts)
+	var ref uint64
+	for i := range out.Insts {
+		in := &out.Insts[i]
+		if !in.IsMem() {
+			continue
 		}
-		return pred
+		if mix(seed, ref)&0xFFFFFFFF < threshold {
+			in.Flags ^= cpu.FlagPredStack
+		}
+		ref++
 	}
+	return &out
 }

@@ -144,33 +144,6 @@ func TestInjectorTableFlip(t *testing.T) {
 	}
 }
 
-func TestStorm(t *testing.T) {
-	never := Storm(1, 0)
-	always := Storm(1, 1)
-	for ref := uint64(0); ref < 100; ref++ {
-		if never(ref, core.PredictStack) != core.PredictStack {
-			t.Fatalf("rate-0 storm flipped ref %d", ref)
-		}
-		if always(ref, core.PredictStack) != core.PredictNonStack {
-			t.Fatalf("rate-1 storm spared ref %d", ref)
-		}
-	}
-	a, b := Storm(5, 0.3), Storm(5, 0.3)
-	flips := 0
-	for ref := uint64(0); ref < 10_000; ref++ {
-		ra, rb := a(ref, core.PredictStack), b(ref, core.PredictStack)
-		if ra != rb {
-			t.Fatalf("same-seed storms disagree at ref %d", ref)
-		}
-		if ra == core.PredictNonStack {
-			flips++
-		}
-	}
-	if flips < 2_500 || flips > 3_500 {
-		t.Fatalf("rate-0.3 storm flipped %d/10000 refs", flips)
-	}
-}
-
 func TestKindAndFaultStrings(t *testing.T) {
 	cases := map[string]string{
 		Fault{Kind: ForceMispredict, Arg: 9}.String():           "force-mispredict@ref9",
