@@ -53,7 +53,8 @@ func (f *fakeTracer) Emit(ev obs.Event) { f.evs = append(f.evs, ev) }
 
 // TestTracerEventSequence pins the exact event stream of the
 // 10-instruction workload on the (3+3) machine: the observer seam must
-// report precisely what the pipeline did, in emission order.
+// report precisely what the pipeline did, in emission order. Events
+// delivered in the same cycle (complete, addr-ready) come in seq order.
 func TestTracerEventSequence(t *testing.T) {
 	tr := tenInstTrace(t, TraceOptions{})
 	var ft fakeTracer
@@ -97,25 +98,26 @@ func TestTracerEventSequence(t *testing.T) {
 		ev(2, 0, obs.EvIssue, 0),
 		ev(2, 1, obs.EvIssue, 0),
 		ev(2, 9, obs.EvIssue, 0),
-		// Cycle 3: their results complete; dependents issue (memory ops
-		// take their AGU slot).
+		// Cycle 3: their results complete, in seq order; dependents
+		// issue (memory ops take their AGU slot).
 		ev(3, 0, obs.EvComplete, 0),
-		ev(3, 9, obs.EvComplete, 0),
 		ev(3, 1, obs.EvComplete, 0),
+		ev(3, 9, obs.EvComplete, 0),
 		ev(3, 2, obs.EvIssue, 0),
 		ev(3, 3, obs.EvIssue, 0),
 		ev(3, 5, obs.EvIssue, 0),
 		ev(3, 6, obs.EvIssue, 0),
 		ev(3, 8, obs.EvIssue, 0),
-		// Cycle 4: addresses resolve; the first store misses the cold LVC
-		// all the way to memory, both loads forward from older stores.
+		// Cycle 4: addresses resolve, in seq order with the completion
+		// due the same cycle; the first store misses the cold LVC all
+		// the way to memory, both loads forward from older stores.
 		ev(4, 0, obs.EvCommit, 0),
 		ev(4, 1, obs.EvCommit, 0),
 		ev(4, 2, obs.EvAddrReady, 0),
-		ev(4, 8, obs.EvComplete, 0),
-		ev(4, 6, obs.EvAddrReady, 0),
-		ev(4, 5, obs.EvAddrReady, 0),
 		ev(4, 3, obs.EvAddrReady, 0),
+		ev(4, 5, obs.EvAddrReady, 0),
+		ev(4, 6, obs.EvAddrReady, 0),
+		ev(4, 8, obs.EvComplete, 0),
 		ev(4, 2, obs.EvCacheAccess, lvcWrMem),
 		ev(4, 2, obs.EvComplete, 0),
 		ev(4, 3, obs.EvForward, 0),

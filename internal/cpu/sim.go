@@ -118,108 +118,20 @@ type robEntry struct {
 	addrDone  bool
 	earlyAddr bool  // LVAQ fast forwarding: address usable from dispatch
 	part      uint8 // cache partition the access steers to, set at address generation
+	evKind    uint8 // the entry's one outstanding event, or evNone
+	evDue     int64 // cycle the outstanding event is due
 	readyAt   int64 // earliest cycle the cache access may start (recovery)
 	consumers []int64
 }
 
-// event kinds.
+// Event kinds. An in-flight entry has at most one outstanding event:
+// issue schedules evAddrDone or evComplete, and a memory entry's
+// evComplete follows its evAddrDone from memScan.
 const (
-	evComplete = iota
+	evNone = iota
+	evComplete
 	evAddrDone
 )
-
-type event struct {
-	cycle int64
-	seq   int64
-	kind  uint8
-}
-
-// eventHeap and seqHeap are min-heaps with the exact sift-up and
-// sift-down steps of container/heap (moving a hole instead of swapping,
-// which leaves the same array behind). eventHeap orders by cycle alone,
-// so events due in the same cycle pop in the order that layout gives —
-// the order every pinned event stream records.
-type eventHeap []event
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	q := *h
-	j := len(q) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if ev.cycle >= q[i].cycle {
-			break
-		}
-		q[j] = q[i]
-		j = i
-	}
-	q[j] = ev
-}
-
-func (h *eventHeap) pop() event {
-	q := *h
-	n := len(q) - 1
-	top, x := q[0], q[n]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q[j2].cycle < q[j].cycle {
-			j = j2
-		}
-		if q[j].cycle >= x.cycle {
-			break
-		}
-		q[i] = q[j]
-		i = j
-	}
-	q[i] = x
-	*h = q[:n]
-	return top
-}
-
-type seqHeap []int64
-
-func (h *seqHeap) push(seq int64) {
-	*h = append(*h, seq)
-	q := *h
-	j := len(q) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if seq >= q[i] {
-			break
-		}
-		q[j] = q[i]
-		j = i
-	}
-	q[j] = seq
-}
-
-func (h *seqHeap) pop() int64 {
-	q := *h
-	n := len(q) - 1
-	top, x := q[0], q[n]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q[j2] < q[j] {
-			j = j2
-		}
-		if q[j] >= x {
-			break
-		}
-		q[i] = q[j]
-		i = j
-	}
-	q[i] = x
-	*h = q[:n]
-	return top
-}
 
 // memQueue is one memory queue, the LSQ or the LVAQ, plus the store
 // index that load disambiguation reads instead of scanning the queue.
@@ -355,10 +267,15 @@ type simulator struct {
 
 	lastWriter [numDepRegs]int64
 
-	ready    seqHeap
-	deferred []int64 // issue's scratch: ready entries short of a function unit
-	events   eventHeap
-	now      int64
+	// ready and the wheel's buckets are bitmaps over ROB slots, so a
+	// walk from headSeq's slot visits entries oldest first. ready marks
+	// the entries in stReady; wheel holds one bitmap per cycle modulo
+	// its bucket count, marking the entries with an event due then.
+	ready     []uint64
+	wheel     []uint64
+	wheelMask int64 // bucket count - 1
+	pending   int   // outstanding events
+	now       int64
 
 	lsq, lvaq memQueue
 
@@ -377,6 +294,10 @@ type simulator struct {
 	faults   MemFaulter
 	recovery RecoveryObserver
 	nGrant   uint64 // cache-port grant ordinal (MemFaulter hook index)
+
+	// Memory operations and loads dispatched, for the end-of-run
+	// conservation laws.
+	memOps, loads uint64
 
 	// trc is nil for uninstrumented runs: every emission site is behind
 	// a nil check, so the no-op path does no interface calls.
@@ -444,11 +365,15 @@ func (sm *Sim) newSimulator(tr *Trace) (*simulator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cpu config %q: %w", cfg.Name, err)
 	}
+	// The ROB ring is at least one bitmap word, so every word of a
+	// bitmap covers 64 consecutive slots.
+	robLen := max(64, 1<<bits.Len(uint(cfg.ROBSize-1)))
 	s := &simulator{
 		cfg:      cfg,
 		tr:       tr,
 		res:      &Result{Config: cfg, Name: tr.Name},
-		rob:      make([]robEntry, 1<<bits.Len(uint(cfg.ROBSize-1))),
+		rob:      make([]robEntry, robLen),
+		ready:    make([]uint64, robLen/64),
 		lsq:      memQueue{name: "LSQ"},
 		lvaq:     memQueue{name: "LVAQ"},
 		hier:     hier,
@@ -461,10 +386,17 @@ func (sm *Sim) newSimulator(tr *Trace) (*simulator, error) {
 		trc:      sm.tracer,
 	}
 	s.robMask = int64(len(s.rob) - 1)
+	// The wheel has more buckets than the longest latency the machine
+	// produces, so only an injected extra latency laps it.
+	horizon := LatIntDiv
 	for i, p := range parts {
 		s.ports[i] = p.Ports
 		s.plats[i] = p.HitLatency
+		horizon = max(horizon, p.HitLatency+LatL2+LatMem)
 	}
+	buckets := 1 << bits.Len(uint(horizon))
+	s.wheelMask = int64(buckets - 1)
+	s.wheel = make([]uint64, buckets*len(s.ready))
 	if sm.reg != nil {
 		l := sm.labels.With(obs.Labels{"workload": tr.Name, "config": cfg.Name})
 		s.occLSQ = sm.reg.Hist("sim_lsq_occupancy", "LSQ entries per cycle", l)
@@ -498,7 +430,10 @@ func (s *simulator) simulate() (*Result, error) {
 			return nil, err
 		}
 		s.memScan()
-		i := s.issue()
+		i, err := s.issue()
+		if err != nil {
+			return nil, err
+		}
 		d := s.dispatch()
 		if s.occLSQ != nil {
 			s.occLSQ.Observe(int64(len(s.lsq.seqs)))
@@ -506,7 +441,7 @@ func (s *simulator) simulate() (*Result, error) {
 				s.occLVAQ.Observe(int64(len(s.lvaq.seqs)))
 			}
 		}
-		if c == 0 && i == 0 && d == 0 && len(s.events) == 0 {
+		if c == 0 && i == 0 && d == 0 && s.pending == 0 {
 			idle++
 			if idle > 10_000 {
 				return nil, fmt.Errorf("cpu: simulation wedged at cycle %d (retired %d/%d, pending %d)",
@@ -516,11 +451,14 @@ func (s *simulator) simulate() (*Result, error) {
 			idle = 0
 		}
 	}
-	if err := s.drained(); err != nil {
-		return nil, err
-	}
+	return s.result()
+}
+
+// result completes the Result of a finished run and checks it with
+// drained.
+func (s *simulator) result() (*Result, error) {
 	s.res.Cycles = uint64(s.now)
-	s.res.Insts = uint64(total)
+	s.res.Insts = uint64(s.headSeq)
 	s.res.PartStats = make([]cache.Stats, s.hier.NumPartitions())
 	for i := range s.res.PartStats {
 		s.res.PartStats[i] = s.hier.Partition(i).Stats()
@@ -530,6 +468,9 @@ func (s *simulator) simulate() (*Result, error) {
 		s.res.LVCStats = s.res.PartStats[1]
 	}
 	s.res.L2Stats = s.hier.L2().Stats()
+	if err := s.drained(); err != nil {
+		return nil, err
+	}
 	return s.res, nil
 }
 
@@ -564,12 +505,13 @@ func (s *simulator) queue(q uint8) *memQueue {
 }
 
 // drained checks that a finished run left nothing behind: every event
-// delivered, nothing ready or pending, and both memory queues, store
-// indexes and unknown-address lists empty.
+// delivered, nothing ready or pending, both bitmaps clear, and both
+// memory queues, store indexes and unknown-address lists empty. It then
+// checks the Result's conservation laws.
 func (s *simulator) drained() error {
-	if len(s.events)+len(s.ready)+len(s.memPending) != 0 {
-		return fmt.Errorf("%w: run ended with %d events, %d ready and %d pending memory entries",
-			ErrInvariant, len(s.events), len(s.ready), len(s.memPending))
+	if s.pending+len(s.memPending) != 0 || !empty(s.ready) || !empty(s.wheel) {
+		return fmt.Errorf("%w: run ended with %d events, %d pending memory entries, ready bits %t and wheel bits %t",
+			ErrInvariant, s.pending, len(s.memPending), !empty(s.ready), !empty(s.wheel))
 	}
 	for _, q := range []*memQueue{&s.lsq, &s.lvaq} {
 		if len(q.seqs)+len(q.stores)+len(q.unknown) != 0 {
@@ -577,39 +519,117 @@ func (s *simulator) drained() error {
 				ErrInvariant, len(q.seqs), len(q.stores), len(q.unknown), q.name)
 		}
 	}
+	r := s.res
+	var accesses uint64
+	for _, st := range r.PartStats {
+		accesses += st.Accesses
+	}
+	switch {
+	case accesses+r.Forwards != s.memOps:
+		return fmt.Errorf("%w: %d partition accesses + %d forwards, but %d memory ops dispatched",
+			ErrInvariant, accesses, r.Forwards, s.memOps)
+	case r.Forwards > s.loads:
+		return fmt.Errorf("%w: %d forwards from %d loads", ErrInvariant, r.Forwards, s.loads)
+	case r.FastForwards > r.Forwards:
+		return fmt.Errorf("%w: %d fast forwards out of %d forwards", ErrInvariant, r.FastForwards, r.Forwards)
+	case r.Recoveries != r.ARPTMispredicts:
+		return fmt.Errorf("%w: %d recoveries for %d mispredicts", ErrInvariant, r.Recoveries, r.ARPTMispredicts)
+	case r.Cycles*uint64(r.Config.IssueWidth) < r.Insts:
+		// Checked against the width the Result reports, not the one
+		// the engine ran at.
+		return fmt.Errorf("%w: %d insts in %d cycles at width %d",
+			ErrInvariant, r.Insts, r.Cycles, r.Config.IssueWidth)
+	}
 	return nil
 }
 
-func (s *simulator) processEvents() error {
-	for len(s.events) > 0 && s.events[0].cycle <= s.now {
-		ev := s.events.pop()
-		e := s.slot(ev.seq)
-		switch ev.kind {
-		case evComplete:
-			s.finish(ev.seq)
-		case evAddrDone:
-			e.addrDone = true
-			ti := s.inst(ev.seq)
-			e.part = uint8(s.hier.Steer(ti.AccessInfo()))
-			if !ti.IsLoad() && !e.earlyAddr {
-				if err := s.queue(e.queue).resolveAddr(ev.seq); err != nil {
-					return err
-				}
-			}
-			if s.trc != nil {
-				s.emit(ev.seq, obs.EvAddrReady, 0)
-			}
-			// The extended TLB verifies the steering prediction at
-			// address translation; a mismatch starts recovery and the
-			// access is re-steered to the correct pipeline.
-			if s.cfg.Decoupled() && ti.Mispredicted() {
-				if err := s.recoverSteering(ev.seq, e, ti); err != nil {
-					return err
-				}
-			}
-			s.memPending = insertSeq(s.memPending, ev.seq)
+// empty reports whether bitmap b has no bit set.
+func empty(b []uint64) bool {
+	for _, w := range b {
+		if w != 0 {
+			return false
 		}
 	}
+	return true
+}
+
+// scan returns the oldest in-flight-range seq at or after from whose
+// ROB slot is set in bitmap b, or -1. The range is the ROB ring from
+// headSeq, so the walk is in seq order.
+func (s *simulator) scan(b []uint64, from int64) int64 {
+	for end := s.headSeq + int64(len(s.rob)); from < end; {
+		i := from & s.robMask
+		if w := b[i>>6] >> (i & 63); w != 0 {
+			if seq := from + int64(bits.TrailingZeros64(w)); seq < end {
+				return seq
+			}
+			return -1
+		}
+		from += 64 - i&63
+	}
+	return -1
+}
+
+// bucket returns the wheel bitmap for cycle.
+func (s *simulator) bucket(cycle int64) []uint64 {
+	n := len(s.ready)
+	i := int(cycle&s.wheelMask) * n
+	return s.wheel[i : i+n]
+}
+
+// processEvents delivers this cycle's events in seq order.
+func (s *simulator) processEvents() error {
+	b := s.bucket(s.now)
+	for seq := s.scan(b, s.headSeq); seq >= 0; seq = s.scan(b, seq+1) {
+		if err := s.fire(b, seq); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fire delivers the event of entry seq, whose bit is set in bucket b,
+// if it is due this cycle; an event due on a later lap of the wheel
+// keeps its bit. A bit with no event due in this bucket is corrupt
+// bookkeeping.
+func (s *simulator) fire(b []uint64, seq int64) error {
+	e := s.slot(seq)
+	if seq >= s.tailSeq || e.evKind == evNone || e.evDue < s.now || (e.evDue-s.now)&s.wheelMask != 0 {
+		return fmt.Errorf("%w: wheel bit for seq %d at cycle %d, which has no event due in this bucket",
+			ErrInvariant, seq, s.now)
+	}
+	if e.evDue > s.now {
+		return nil
+	}
+	i := seq & s.robMask
+	b[i>>6] &^= 1 << (i & 63)
+	s.pending--
+	kind := e.evKind
+	e.evKind = evNone
+	if kind == evComplete {
+		s.finish(seq)
+		return nil
+	}
+	e.addrDone = true
+	ti := s.inst(seq)
+	e.part = uint8(s.hier.Steer(ti.AccessInfo()))
+	if !ti.IsLoad() && !e.earlyAddr {
+		if err := s.queue(e.queue).resolveAddr(seq); err != nil {
+			return err
+		}
+	}
+	if s.trc != nil {
+		s.emit(seq, obs.EvAddrReady, 0)
+	}
+	// The extended TLB verifies the steering prediction at address
+	// translation; a mismatch starts recovery and the access is
+	// re-steered to the correct pipeline.
+	if s.cfg.Decoupled() && ti.Mispredicted() {
+		if err := s.recoverSteering(seq, e, ti); err != nil {
+			return err
+		}
+	}
+	s.memPending = insertSeq(s.memPending, seq)
 	return nil
 }
 
@@ -733,7 +753,8 @@ func (s *simulator) maybeWake(seq int64, e *robEntry) {
 	}
 	if ok {
 		e.state = stReady
-		s.ready.push(seq)
+		i := seq & s.robMask
+		s.ready[i>>6] |= 1 << (i & 63)
 	}
 }
 
@@ -857,23 +878,19 @@ func (s *simulator) accessLatency(addr uint32, write bool, pi int) (lat, level i
 }
 
 // issue moves ready entries to the function units, oldest first,
-// bounded by the issue width and per-class FU counts. Memory
-// instructions spend their issue slot on address generation.
-func (s *simulator) issue() int {
+// bounded by the issue width and per-class FU counts. An entry short of
+// a function unit keeps its ready bit. Memory instructions spend their
+// issue slot on address generation.
+func (s *simulator) issue() (int, error) {
 	budget := s.cfg.IssueWidth
 	intALU, fpALU := s.cfg.IntALU, s.cfg.FPALU
 	intMD, fpMD := s.cfg.IntMulDiv, s.cfg.FPMulDiv
 
-	deferred := s.deferred[:0]
 	issued := 0
-	for budget > 0 && len(s.ready) > 0 {
-		seq := s.ready.pop()
-		if seq < s.headSeq {
-			continue
-		}
+	for seq := s.scan(s.ready, s.headSeq); seq >= 0 && budget > 0; seq = s.scan(s.ready, seq+1) {
 		e := s.slot(seq)
-		if e.state != stReady {
-			continue
+		if seq >= s.tailSeq || e.state != stReady {
+			return issued, fmt.Errorf("%w: ready bit for seq %d, which is not ready", ErrInvariant, seq)
 		}
 		ti := s.inst(seq)
 		ok := true
@@ -895,9 +912,10 @@ func (s *simulator) issue() int {
 			ok, lat = take(&intALU), LatIntALU
 		}
 		if !ok {
-			deferred = append(deferred, seq)
 			continue
 		}
+		i := seq & s.robMask
+		s.ready[i>>6] &^= 1 << (i & 63)
 		budget--
 		issued++
 		e.state = stIssued
@@ -910,12 +928,7 @@ func (s *simulator) issue() int {
 		}
 		s.schedule(evComplete, seq, s.now+int64(lat))
 	}
-	for _, seq := range deferred {
-		s.slot(seq).state = stReady
-		s.ready.push(seq)
-	}
-	s.deferred = deferred
-	return issued
+	return issued, nil
 }
 
 func take(n *int) bool {
@@ -926,8 +939,13 @@ func take(n *int) bool {
 	return false
 }
 
+// schedule sets entry seq's one outstanding event and its wheel bit.
 func (s *simulator) schedule(kind uint8, seq, cycle int64) {
-	s.events.push(event{cycle: cycle, seq: seq, kind: kind})
+	e := s.slot(seq)
+	e.evKind, e.evDue = kind, cycle
+	i := seq & s.robMask
+	s.bucket(cycle)[i>>6] |= 1 << (i & 63)
+	s.pending++
 }
 
 // dispatch brings new trace instructions into the ROB (and LSQ/LVAQ),
@@ -995,6 +1013,10 @@ func (s *simulator) dispatch() int {
 			}
 		}
 		if queue != qNone {
+			s.memOps++
+			if ti.IsLoad() {
+				s.loads++
+			}
 			e.earlyAddr = s.earlyAddr(ti, queue)
 			s.queue(queue).add(seq, ti, e.earlyAddr)
 		}
