@@ -1,12 +1,13 @@
 // Command arld is the sharded campaign service: a long-running
 // HTTP/JSON server that accepts campaign requests (workload × config ×
-// seed grids), shards their units across a bounded worker pool running
-// the experiment Runner's stages, and uses the content-addressed
-// artifact store as a shared cache tier, so concurrent clients
-// submitting overlapping grids deduplicate work instead of repeating
-// it. Design-space frontier sweeps ride the same machinery via POST
-// /api/v1/explorations (the grid expands into campaign units
-// server-side, so frontier points dedupe against plain campaigns).
+// seed grids), hands their units under fenced leases to a bounded pool
+// of in-process workers and to any remote arlworkers, and uses the
+// content-addressed artifact store as a shared cache tier, so
+// concurrent clients submitting overlapping grids deduplicate work
+// instead of repeating it. Design-space frontier sweeps ride the same
+// machinery via POST /api/v1/explorations (the grid expands into
+// campaign units server-side, so frontier points dedupe against plain
+// campaigns).
 // See internal/service for the API surface; arlsim, arlreport,
 // arlfault and arlexplore consume it through their -server flag.
 //
@@ -55,11 +56,11 @@ func main() {
 	journalDir := flag.String("journal-dir", "",
 		"write-ahead job journal directory (empty = <store-dir>/journal when -store-dir is set)")
 	coordinator := flag.Bool("coordinator", false,
-		"coordinator mode: no in-process workers; every unit is pulled by remote arlworkers through the lease API")
+		"coordinator mode: start no in-process workers; every unit is pulled by remote arlworkers through the lease API")
 	leaseTTL := flag.Int("lease-ttl", 0,
-		"remote-worker lease lifetime in lease-clock ticks (0 = fleet default)")
+		"lease lifetime in lease-clock ticks (0 = fleet default)")
 	leaseTick := flag.Duration("lease-tick", 500*time.Millisecond,
-		"wall-clock period of one lease-clock tick (0 disables the ticker; the clock still advances on lease-API arrivals)")
+		"wall-clock period of one lease-clock tick (0 = no ticks: leases never expire)")
 	c.RunnerFlags()
 	c.StoreFlags()
 	c.NetFaultsFlag()

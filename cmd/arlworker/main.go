@@ -1,11 +1,11 @@
 // Command arlworker is the remote execution half of a distributed
 // arld: it pulls campaign units from a coordinator over the lease API
 // (POST /api/v1/lease), runs them through its own store-backed
-// experiment Runner, heartbeats to keep its leases alive, and
-// publishes each result with the lease's fencing token attached — so
-// a worker that stalls past its lease and comes back (a zombie
-// writer) has its late completion rejected with 409 instead of
-// double-counting the unit.
+// experiment Runners under the retry policy each grant carries,
+// heartbeats to keep its leases alive, and publishes each result with
+// the lease's fencing token attached — so a worker that stalls past
+// its lease and comes back (a zombie writer) has its late completion
+// rejected with 409 instead of double-counting the unit.
 //
 //	arld -coordinator -addr :8080 -store-dir /srv/arl &
 //	arlworker -coordinator http://localhost:8080 -store-dir /tmp/w1 -parallel 4
@@ -25,17 +25,13 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/cliutil"
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/resilience/chaosnet"
 	"repro/internal/service"
@@ -57,6 +53,14 @@ func main() {
 	c.NetFaultsFlag()
 	c.ObsFlags("")
 	flag.Parse()
+	if c.Retries != 0 {
+		// StoreFlags registers -retries for every store-backed command,
+		// but a worker's retry budget is the coordinator's: it rides in
+		// each lease grant.
+		fmt.Fprintln(os.Stderr, "arlworker: -retries is set on the coordinator (arld -retries) and sent with every lease")
+		flag.Usage()
+		os.Exit(2)
+	}
 	c.Start()
 	ctx := c.HandleSignals()
 
@@ -76,16 +80,16 @@ func main() {
 		st = c.OpenStore()
 	}
 
-	// Runners are classed by the campaign shaping the coordinator hands
-	// down with each grant — exactly the coordinator's own runnerKey —
-	// so a worker serving two campaigns with different budgets keeps
-	// their in-process memos separate while sharing one store.
-	rn := &runners{c: c, reg: reg, store: st, byKey: make(map[runnerKey]*experiments.Runner)}
+	// The same runner pool arld's in-process workers use: runners are
+	// classed by the campaign shaping each grant carries, so a worker
+	// serving two campaigns with different budgets keeps their
+	// in-process memos separate while sharing one store.
+	rn := &service.Runners{Store: st, Obs: reg, Timeout: c.Timeout}
 
 	w := &fleet.Worker{
 		Coordinator: *coordinator,
 		ID:          *id,
-		Execute:     rn.execute,
+		Execute:     rn.Execute,
 		HTTP: &http.Client{
 			Timeout:   *httpTimeout,
 			Transport: chaosnet.Transport(nil, c.NetInjector()),
@@ -102,56 +106,4 @@ func main() {
 	w.Run(ctx)
 	c.Finish(reg)
 	c.Exit()
-}
-
-type runnerKey struct {
-	scale    int
-	maxInsts uint64
-}
-
-// runners lazily builds one store-backed Runner per (scale, maxInsts)
-// class, shared across the worker's parallel lease loops.
-type runners struct {
-	c     *cliutil.Common
-	reg   *obs.Registry
-	store *store.Store
-	mu    sync.Mutex
-	byKey map[runnerKey]*experiments.Runner
-}
-
-func (rn *runners) get(scale int, maxInsts uint64) *experiments.Runner {
-	k := runnerKey{scale, maxInsts}
-	rn.mu.Lock()
-	defer rn.mu.Unlock()
-	r := rn.byKey[k]
-	if r == nil {
-		r = experiments.NewRunner()
-		r.Scale = scale
-		r.MaxInsts = maxInsts
-		r.Obs = rn.reg
-		if rn.store != nil {
-			r.Store = rn.store
-			r.Resume = true
-		}
-		if rn.c.Timeout > 0 {
-			r.WorkloadTimeout = rn.c.Timeout
-		}
-		rn.byKey[k] = r
-	}
-	return r
-}
-
-// execute runs one leased unit through the same dispatch the
-// coordinator's in-process workers use, so a unit computes
-// byte-identically wherever it lands.
-func (rn *runners) execute(_ context.Context, g fleet.LeaseGrant) (json.RawMessage, error) {
-	var spec service.UnitSpec
-	if err := json.Unmarshal(g.Spec, &spec); err != nil {
-		return nil, fmt.Errorf("bad unit spec: %w", err)
-	}
-	res, err := service.ExecuteUnit(rn.get(g.Scale, g.MaxInsts), spec)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(res)
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/detrand"
 	"repro/internal/experiments"
 )
 
@@ -46,15 +47,6 @@ type Point struct {
 	Name        string     `json:"name"`
 	ARPTEntries int        `json:"arpt_entries,omitempty"`
 	Config      cpu.Config `json:"-"`
-}
-
-// splitmix64 steps the seeded sampling PRNG.
-func splitmix64(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := *s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d4b74f9a57f4b7
-	return z ^ (z >> 31)
 }
 
 // Enumerate expands the grid into design points in canonical order,
@@ -125,9 +117,9 @@ func (g Grid) Enumerate(seed uint64) ([]Point, int, error) {
 		for i := range idx {
 			idx[i] = i
 		}
-		s := seed
+		s := detrand.NewSampler(seed)
 		for i := len(idx) - 1; i > 0; i-- {
-			j := int(splitmix64(&s) % uint64(i+1))
+			j := int(s.Next() % uint64(i+1))
 			idx[i], idx[j] = idx[j], idx[i]
 		}
 		keep := idx[:g.MaxPoints]

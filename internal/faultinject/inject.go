@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/detrand"
 )
 
 // ErrInjected marks an architectural fault raised by the injection
@@ -155,7 +156,7 @@ func Storm(tr *cpu.Trace, seed uint64, rate float64) *cpu.Trace {
 		if !in.IsMem() {
 			continue
 		}
-		if mix(seed, ref)&0xFFFFFFFF < threshold {
+		if detrand.Mix(seed, ref)&0xFFFFFFFF < threshold {
 			in.Flags ^= cpu.FlagPredStack
 		}
 		ref++

@@ -9,7 +9,11 @@
 // seed: same seed, same faults, same verdict, byte for byte.
 package faultinject
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/detrand"
+)
 
 // Kind classifies an injected fault.
 type Kind uint8
@@ -97,7 +101,7 @@ type Plan struct {
 // stream) so they fire with high probability even though forwarded
 // loads never take a port.
 func NewPlan(seed uint64, n int, shape RunShape) *Plan {
-	r := newRNG(seed)
+	r := detrand.New(seed)
 	p := &Plan{Seed: seed, Shape: shape, Faults: make([]Fault, 0, n)}
 	refs := shape.MemRefs
 	if refs == 0 {
@@ -105,18 +109,18 @@ func NewPlan(seed uint64, n int, shape RunShape) *Plan {
 	}
 	for i := 0; i < n; i++ {
 		var f Fault
-		switch w := r.next() % 16; {
+		switch w := r.Next() % 16; {
 		case w < 5:
-			f = Fault{Kind: ForceMispredict, Arg: r.intn(refs)}
+			f = Fault{Kind: ForceMispredict, Arg: r.Intn(refs)}
 		case w < 9:
-			f = Fault{Kind: TableBitFlip, Arg: r.intn(refs), Extra: uint32(r.next())}
+			f = Fault{Kind: TableBitFlip, Arg: r.Intn(refs), Extra: uint32(r.Next())}
 		case w < 12:
-			f = Fault{Kind: PortDrop, Arg: r.intn(max64(refs/4, 1))}
+			f = Fault{Kind: PortDrop, Arg: r.Intn(max64(refs/4, 1))}
 		case w < 15:
-			f = Fault{Kind: LatencyPerturb, Arg: r.intn(max64(refs/4, 1)), Extra: uint32(1 + r.intn(64))}
+			f = Fault{Kind: LatencyPerturb, Arg: r.Intn(max64(refs/4, 1)), Extra: uint32(1 + r.Intn(64))}
 		default:
 			lo := shape.Insts / 4
-			f = Fault{Kind: MemFault, Arg: lo + r.intn(max64(shape.Insts-lo, 1))}
+			f = Fault{Kind: MemFault, Arg: lo + r.Intn(max64(shape.Insts-lo, 1))}
 		}
 		p.Faults = append(p.Faults, f)
 	}

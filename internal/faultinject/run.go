@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/decouple"
+	"repro/internal/detrand"
 	"repro/internal/prog"
 	"repro/internal/vm"
 )
@@ -224,7 +225,7 @@ func RunCampaign(p *prog.Program, name string, seed uint64, runs, faultsPerRun i
 	}
 	s := &Summary{Workload: name, Seed: seed, Runs: runs, FaultsPerRun: faultsPerRun}
 	for i := 0; i < runs; i++ {
-		plan := NewPlan(mix(seed, uint64(i)), faultsPerRun, golden.Shape)
+		plan := NewPlan(detrand.Mix(seed, uint64(i)), faultsPerRun, golden.Shape)
 		rr, err := RunOne(p, maxInsts, golden, plan, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("faultinject: %s run %d: %w", name, i, err)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/detrand"
 	"repro/internal/workload"
 )
 
@@ -15,7 +16,7 @@ import (
 func stormHook(seed uint64, rate float64) func(uint64, core.Prediction) core.Prediction {
 	threshold := uint64(min(rate, 1) * (1 << 32))
 	return func(ref uint64, pred core.Prediction) core.Prediction {
-		if rate > 0 && mix(seed, ref)&0xFFFFFFFF < threshold {
+		if rate > 0 && detrand.Mix(seed, ref)&0xFFFFFFFF < threshold {
 			return !pred
 		}
 		return pred

@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/detrand"
 )
 
 // Defaults used when a Retry field is zero.
@@ -126,7 +128,7 @@ func (r Retry) backoff(name string, attempt int) time.Duration {
 	if half <= 0 {
 		return d
 	}
-	u := splitmix64(r.Seed ^ hashString(name) ^ uint64(attempt)*0x9E3779B97F4A7C15)
+	u := detrand.Hash(r.Seed ^ hashString(name) ^ uint64(attempt)*detrand.Golden)
 	return half + time.Duration(u%uint64(half+1))
 }
 
@@ -146,16 +148,7 @@ func sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// splitmix64 is the finalizer of the SplitMix64 generator: a cheap,
-// high-quality 64-bit mix suitable for deterministic jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// hashString is FNV-1a, inlined to keep the package dependency-free.
+// hashString is FNV-1a.
 func hashString(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

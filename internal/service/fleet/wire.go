@@ -8,9 +8,9 @@ import "encoding/json"
 //	POST /api/v1/lease/{id}/renew    RenewRequest  -> RenewReply
 //	POST /api/v1/lease/{id}/complete CompleteRequest -> 200 | 409
 //
-// A 204 from lease means the queue is empty right now; 409 from renew
-// or complete means the lease is gone or fenced and the worker should
-// abandon the unit — someone else owns it.
+// A 204 from lease means the queue is empty right now; 404 or 409 from
+// renew or complete means the lease is gone or fenced and the worker
+// should abandon the unit — someone else owns it.
 
 // LeaseRequest is a worker's pull for one unit.
 type LeaseRequest struct {
@@ -18,8 +18,7 @@ type LeaseRequest struct {
 }
 
 // LeaseGrant is the coordinator's answer: one leased unit plus the
-// run parameters the worker needs to execute it identically to an
-// in-process worker.
+// run parameters and retry policy every worker executes it under.
 type LeaseGrant struct {
 	LeaseID string `json:"lease_id"`
 	Token   uint64 `json:"token"`
@@ -30,6 +29,13 @@ type LeaseGrant struct {
 	Spec     json.RawMessage `json:"spec"` // service.UnitSpec
 	Scale    int             `json:"scale,omitempty"`
 	MaxInsts uint64          `json:"max_insts,omitempty"`
+
+	// The retry policy: up to Attempts tries (0 means 1), with
+	// resilience.Retry backoff keyed by Seed (the job's seed) and Key
+	// (the unit's dedupe key).
+	Attempts int    `json:"attempts,omitempty"`
+	Seed     uint64 `json:"seed,omitempty"`
+	Key      string `json:"key,omitempty"`
 }
 
 // RenewRequest heartbeats a lease.
@@ -38,9 +44,11 @@ type RenewRequest struct {
 	Token  uint64 `json:"token"`
 }
 
-// RenewReply acknowledges a renewal.
+// RenewReply acknowledges a renewal. Canceled reports that the unit's
+// job was canceled: the worker starts no further attempt.
 type RenewReply struct {
 	Deadline uint64 `json:"deadline"` // lease-clock tick of the new expiry
+	Canceled bool   `json:"canceled,omitempty"`
 }
 
 // CompleteRequest publishes a unit result under the fencing token.
@@ -50,4 +58,6 @@ type CompleteRequest struct {
 	State  string          `json:"state"` // "done" or "failed"
 	Error  string          `json:"error,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
+	// Attempts is how many times the worker executed the unit.
+	Attempts int `json:"attempts,omitempty"`
 }

@@ -57,7 +57,7 @@ func postJSON(t *testing.T, url string, in, out any) int {
 func TestFleetEndToEnd(t *testing.T) {
 	svc, client, st := testService(t, Config{
 		CoordinatorOnly: true,
-		LeaseTTL:        10_000, // generous: the lease clock also counts every grant/renew/complete arrival
+		LeaseTTL:        10_000, // no ticks run here, so leases cannot expire anyway
 	}, true)
 
 	workloads := testWorkloads(t, "li")
@@ -69,25 +69,10 @@ func TestFleetEndToEnd(t *testing.T) {
 	w := &fleet.Worker{
 		Coordinator: client.Base,
 		ID:          "w-e2e",
-		Execute: func(_ context.Context, g fleet.LeaseGrant) (json.RawMessage, error) {
-			var spec UnitSpec
-			if err := json.Unmarshal(g.Spec, &spec); err != nil {
-				return nil, err
-			}
-			r := experiments.NewRunner()
-			r.Scale = g.Scale
-			r.MaxInsts = g.MaxInsts
-			r.Store = st
-			r.Resume = true
-			res, err := ExecuteUnit(r, spec)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(res)
-		},
-		RenewEvery: 50 * time.Millisecond,
-		Poll:       10 * time.Millisecond,
-		Parallel:   2,
+		Execute:     (&Runners{Store: st}).Execute,
+		RenewEvery:  50 * time.Millisecond,
+		Poll:        10 * time.Millisecond,
+		Parallel:    2,
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -354,8 +339,8 @@ func TestFleetCoordinatorHelper(t *testing.T) {
 }
 
 // TestFleetWorkerHelper is one worker child process: a fleet.Worker
-// over its own store-backed runners, optionally with a chaosnet fault
-// plan under its HTTP transport.
+// over its own store-backed runner pool, optionally with a chaosnet
+// fault plan under its HTTP transport.
 func TestFleetWorkerHelper(t *testing.T) {
 	coord := os.Getenv("ARL_FLEET_COORD")
 	id := os.Getenv("ARL_FLEET_WORKER_ID")
@@ -380,41 +365,15 @@ func TestFleetWorkerHelper(t *testing.T) {
 			fmt.Fprintf(os.Stderr, id+": "+format+"\n", args...)
 		})
 	}
-	var mu sync.Mutex
-	runners := map[runnerKey]*experiments.Runner{}
 	w := &fleet.Worker{
 		Coordinator: coord,
 		ID:          id,
-		Execute: func(_ context.Context, g fleet.LeaseGrant) (json.RawMessage, error) {
-			var spec UnitSpec
-			if err := json.Unmarshal(g.Spec, &spec); err != nil {
-				return nil, err
-			}
-			k := runnerKey{g.Scale, g.MaxInsts}
-			mu.Lock()
-			r := runners[k]
-			if r == nil {
-				r = experiments.NewRunner()
-				r.Scale = g.Scale
-				r.MaxInsts = g.MaxInsts
-				if st != nil {
-					r.Store = st
-					r.Resume = true
-				}
-				runners[k] = r
-			}
-			mu.Unlock()
-			res, err := ExecuteUnit(r, spec)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(res)
-		},
-		HTTP:       &http.Client{Timeout: 10 * time.Second, Transport: chaosnet.Transport(nil, inj)},
-		RenewEvery: 100 * time.Millisecond,
-		Poll:       50 * time.Millisecond,
-		Parallel:   1,
-		Log:        os.Stderr,
+		Execute:     (&Runners{Store: st}).Execute,
+		HTTP:        &http.Client{Timeout: 10 * time.Second, Transport: chaosnet.Transport(nil, inj)},
+		RenewEvery:  100 * time.Millisecond,
+		Poll:        50 * time.Millisecond,
+		Parallel:    1,
+		Log:         os.Stderr,
 	}
 	w.Run(context.Background())
 }

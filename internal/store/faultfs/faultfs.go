@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"syscall"
 
+	"repro/internal/detrand"
 	"repro/internal/store"
 )
 
@@ -80,55 +81,22 @@ func (k Kind) String() string {
 // Each address fires at most once, so a retried operation succeeds —
 // injected faults model transient IO trouble and crash debris, not a
 // dead disk.
-type Fault struct {
-	Kind Kind
-	Op   uint64
-}
-
-func (f Fault) String() string { return fmt.Sprintf("%s@op%d", f.Kind, f.Op) }
+type Fault = detrand.Fault[Kind]
 
 // Plan is a seeded set of storage faults.
-type Plan struct {
-	Seed   uint64
-	Faults []Fault
-}
+type Plan = detrand.Plan[Kind]
 
-// NewPlan expands seed into n faults, each addressing an operation
-// ordinal in [0, window) of a kind drawn uniformly. The expansion is a
-// pure function of its arguments (splitmix64, the repo's standard
-// seeded stream), so a chaos run is reproducible from (seed, n,
-// window) alone.
+// NewPlan expands seed into n faults, each addressing an ordinal in
+// [0, window) of a kind drawn uniformly — a pure function of its
+// arguments, so a chaos run is reproducible from (seed, n, window).
 func NewPlan(seed uint64, n int, window uint64) *Plan {
-	if window == 0 {
-		window = 1
-	}
-	p := &Plan{Seed: seed, Faults: make([]Fault, 0, n)}
-	state := seed
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	for i := 0; i < n; i++ {
-		p.Faults = append(p.Faults, Fault{
-			Kind: Kind(next() % uint64(numKinds)),
-			Op:   next() % window,
-		})
-	}
-	return p
+	return detrand.NewPlan(seed, n, numKinds, window)
 }
 
 // ParsePlan renders a "seed:count:window" flag value into a plan —
 // the -store-faults CLI surface.
 func ParsePlan(spec string) (*Plan, error) {
-	var seed, window uint64
-	var n int
-	if _, err := fmt.Sscanf(spec, "%d:%d:%d", &seed, &n, &window); err != nil || n < 0 {
-		return nil, fmt.Errorf(`faultfs: bad plan %q, want "seed:count:window" like "7:4:64"`, spec)
-	}
-	return NewPlan(seed, n, window), nil
+	return detrand.ParsePlan("faultfs", spec, numKinds)
 }
 
 // The operation classes that draw ordinals: writes (all three write
