@@ -199,38 +199,25 @@ func ParseConfigName(name string) (cpu.Config, error) {
 		return bad()
 	}
 	var seen [4]bool // one slot per segment kind: a canonical name never repeats one
-	dup := func(kind int) bool {
-		d := seen[kind]
-		seen[kind] = true
-		return d
-	}
 	for _, tok := range tokens[1:] {
-		var v int
+		var v, kind int
 		switch {
 		case tok == cache.SteerRegion || tok == cache.SteerPattern ||
 			tok == cache.SteerPCHash || tok == cache.SteerNone:
-			if dup(0) {
-				return bad()
-			}
-			p.Steer = tok
+			kind, p.Steer = 0, tok
 		case scanToken(tok, "%dcyc", &v):
-			if dup(1) {
-				return bad()
-			}
-			p.L1Latency = v
+			kind, p.L1Latency = 1, v
 		case scanToken(tok, "lvc%dK", &v):
-			if dup(2) {
-				return bad()
-			}
-			p.LVCSizeKB = v
+			kind, p.LVCSizeKB = 2, v
 		case scanToken(tok, "pen%d", &v):
-			if dup(3) {
-				return bad()
-			}
-			p.Penalty = v
+			kind, p.Penalty = 3, v
 		default:
 			return bad()
 		}
+		if seen[kind] {
+			return bad()
+		}
+		seen[kind] = true
 	}
 	c, err := cpu.Custom(p)
 	if err != nil {
