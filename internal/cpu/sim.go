@@ -115,14 +115,29 @@ type robEntry struct {
 	state     uint8
 	queue     uint8
 	mask      uint8 // outstanding source operands
-	addrDone  bool
 	earlyAddr bool  // LVAQ fast forwarding: address usable from dispatch
 	part      uint8 // cache partition the access steers to, set at address generation
 	evKind    uint8 // the entry's one outstanding event, or evNone
+	mem       uint8 // memory-pipeline state past address generation
 	evDue     int64 // cycle the outstanding event is due
 	readyAt   int64 // earliest cycle the cache access may start (recovery)
 	consumers []int64
+	// waiters are the loads parked on this store as their forwarding
+	// match until its data arrives. The list is empty whenever the slot
+	// is free, since a store's data arrives before it can retire.
+	waiters []int64
 }
+
+// Memory-pipeline states. An active entry is on memPending and memScan
+// looks at it each cycle; a parked one is on no per-cycle list and
+// waits for the one event that can change its verdict (DESIGN.md §16).
+const (
+	memActive  = iota // on memPending, verdict not known
+	memCleared        // on memPending: a load with no older unknown-address or same-word store, held only by a port
+	parkData          // a store waiting for its data; woken by its producer's finish
+	parkQueue         // a load behind an older unknown-address store; woken by resolveAddr in its queue
+	parkStore         // a load whose match's data is not ready; on the match's waiters
+)
 
 // Event kinds. An in-flight entry has at most one outstanding event:
 // issue schedules evAddrDone or evComplete, and a memory entry's
@@ -135,12 +150,14 @@ const (
 
 // memQueue is one memory queue, the LSQ or the LVAQ, plus the store
 // index that load disambiguation reads instead of scanning the queue.
-// All three lists are in program order and lose their head at commit.
+// All four lists are in program order; the first three lose their head
+// at commit.
 type memQueue struct {
 	name    string
 	seqs    []int64    // every entry, loads and stores
 	stores  []storeRec // the stores, with their word addresses
 	unknown []int64    // stores whose address is not yet known
+	parked  []int64    // loads parked behind an older unknown-address store
 }
 
 // storeRec is one store of a queue's store index.
@@ -279,9 +296,12 @@ type simulator struct {
 
 	lsq, lvaq memQueue
 
-	// Memory entries past address generation, awaiting disambiguation
-	// and a cache port, in program order.
-	memPending []int64
+	// Active memory entries past address generation, awaiting
+	// disambiguation and a cache port, in program order; memNext is
+	// the list memScan builds for the next cycle. parked counts the
+	// memory entries that wait off both lists.
+	memPending, memNext []int64
+	parked              int
 
 	// First-level partitions plus shared L2, with the per-partition
 	// timing parameters the hierarchy leaves to the pipeline model.
@@ -429,7 +449,9 @@ func (s *simulator) simulate() (*Result, error) {
 		if err := s.processEvents(); err != nil {
 			return nil, err
 		}
-		s.memScan()
+		if err := s.memScan(); err != nil {
+			return nil, err
+		}
 		i, err := s.issue()
 		if err != nil {
 			return nil, err
@@ -444,8 +466,10 @@ func (s *simulator) simulate() (*Result, error) {
 		if c == 0 && i == 0 && d == 0 && s.pending == 0 {
 			idle++
 			if idle > 10_000 {
-				return nil, fmt.Errorf("cpu: simulation wedged at cycle %d (retired %d/%d, pending %d)",
-					s.now, s.headSeq, total, len(s.memPending))
+				// No event is left to wake anything, so the bookkeeping
+				// holds an entry that nothing can release.
+				return nil, fmt.Errorf("%w: simulation wedged at cycle %d (retired %d/%d, %d events, %d active and %d parked memory entries)",
+					ErrInvariant, s.now, s.headSeq, total, s.pending, len(s.memPending), s.parked)
 			}
 		} else {
 			idle = 0
@@ -505,18 +529,25 @@ func (s *simulator) queue(q uint8) *memQueue {
 }
 
 // drained checks that a finished run left nothing behind: every event
-// delivered, nothing ready or pending, both bitmaps clear, and both
-// memory queues, store indexes and unknown-address lists empty. It then
-// checks the Result's conservation laws.
+// delivered, no memory entry active or parked, both bitmaps clear, both
+// memory queues, store indexes, unknown-address and park lists empty,
+// and no load parked on a store. It then checks the Result's
+// conservation laws.
 func (s *simulator) drained() error {
-	if s.pending+len(s.memPending) != 0 || !empty(s.ready) || !empty(s.wheel) {
-		return fmt.Errorf("%w: run ended with %d events, %d pending memory entries, ready bits %t and wheel bits %t",
-			ErrInvariant, s.pending, len(s.memPending), !empty(s.ready), !empty(s.wheel))
+	if s.pending+len(s.memPending)+s.parked != 0 || !empty(s.ready) || !empty(s.wheel) {
+		return fmt.Errorf("%w: run ended with %d events, %d active and %d parked memory entries, ready bits %t and wheel bits %t",
+			ErrInvariant, s.pending, len(s.memPending), s.parked, !empty(s.ready), !empty(s.wheel))
 	}
 	for _, q := range []*memQueue{&s.lsq, &s.lvaq} {
-		if len(q.seqs)+len(q.stores)+len(q.unknown) != 0 {
-			return fmt.Errorf("%w: run ended with %d entries, %d indexed stores and %d unknown addresses in the %s",
-				ErrInvariant, len(q.seqs), len(q.stores), len(q.unknown), q.name)
+		if len(q.seqs)+len(q.stores)+len(q.parked)+len(q.unknown) != 0 {
+			return fmt.Errorf("%w: run ended with %d entries, %d indexed stores, %d parked loads and %d unknown addresses in the %s",
+				ErrInvariant, len(q.seqs), len(q.stores), len(q.parked), len(q.unknown), q.name)
+		}
+	}
+	for i := range s.rob {
+		if n := len(s.rob[i].waiters); n != 0 {
+			return fmt.Errorf("%w: run ended with %d loads parked on the store in ROB slot %d",
+				ErrInvariant, n, i)
 		}
 	}
 	r := s.res
@@ -607,14 +638,12 @@ func (s *simulator) fire(b []uint64, seq int64) error {
 	kind := e.evKind
 	e.evKind = evNone
 	if kind == evComplete {
-		s.finish(seq)
-		return nil
+		return s.finish(seq)
 	}
-	e.addrDone = true
 	ti := s.inst(seq)
 	e.part = uint8(s.hier.Steer(ti.AccessInfo()))
 	if !ti.IsLoad() && !e.earlyAddr {
-		if err := s.queue(e.queue).resolveAddr(seq); err != nil {
+		if err := s.resolveAddr(s.queue(e.queue), seq); err != nil {
 			return err
 		}
 	}
@@ -659,6 +688,11 @@ func (s *simulator) recoverSteering(seq int64, e *robEntry, ti *TraceInst) error
 	}
 	if err := from.moveTo(to, seq, !ti.IsLoad()); err != nil {
 		return err
+	}
+	if !ti.IsLoad() {
+		if err := s.storeMoved(); err != nil {
+			return err
+		}
 	}
 	if s.trc != nil {
 		s.emit(seq, obs.EvRecoveryCancel, 0)
@@ -716,8 +750,10 @@ func insertSeq(q []int64, seq int64) []int64 {
 	return slices.Insert(q, i, seq)
 }
 
-// finish marks an entry done and wakes its consumers.
-func (s *simulator) finish(seq int64) {
+// finish marks an entry done and wakes its consumers. A consumer's
+// depB is a store's data: the store, if parked for it, and the loads
+// parked on the store as their match return to memPending.
+func (s *simulator) finish(seq int64) error {
 	e := s.slot(seq)
 	e.state = stDone
 	if s.trc != nil {
@@ -733,9 +769,95 @@ func (s *simulator) finish(seq int64) {
 		}
 		ce := s.slot(cseq)
 		ce.mask &^= bit
+		if bit == depB {
+			if ce.mem == parkData {
+				if err := s.wake(cseq, parkData); err != nil {
+					return err
+				}
+			}
+			if err := s.wakeWaiters(ce); err != nil {
+				return err
+			}
+		}
 		s.maybeWake(cseq, ce)
 	}
 	e.consumers = e.consumers[:0]
+	return nil
+}
+
+// park takes entry e off the per-cycle lists for reason why; the
+// caller files it where its waking event will find it.
+func (s *simulator) park(e *robEntry, why uint8) {
+	e.mem = why
+	s.parked++
+}
+
+// wake returns entry seq, parked for reason why, to memPending, where
+// memScan decides its verdict afresh. Waking an entry that is not
+// parked for that reason is an ErrInvariant.
+func (s *simulator) wake(seq int64, why uint8) error {
+	e := s.slot(seq)
+	if seq < s.headSeq || seq >= s.tailSeq || e.mem != why {
+		return fmt.Errorf("%w: wake of seq %d, which is not parked (state %d, want %d)",
+			ErrInvariant, seq, e.mem, why)
+	}
+	e.mem = memActive
+	s.parked--
+	s.memPending = insertSeq(s.memPending, seq)
+	return nil
+}
+
+// wakeWaiters wakes the loads parked on store e as their match.
+func (s *simulator) wakeWaiters(e *robEntry) error {
+	for _, l := range e.waiters {
+		if err := s.wake(l, parkStore); err != nil {
+			return err
+		}
+	}
+	e.waiters = e.waiters[:0]
+	return nil
+}
+
+// resolveAddr takes store seq off queue q's unknown-address list and
+// wakes the parked loads that no longer have an older unknown-address
+// store.
+func (s *simulator) resolveAddr(q *memQueue, seq int64) error {
+	if err := q.resolveAddr(seq); err != nil {
+		return err
+	}
+	n := len(q.parked)
+	if len(q.unknown) > 0 {
+		n, _ = slices.BinarySearch(q.parked, q.unknown[0])
+	}
+	for _, l := range q.parked[:n] {
+		if err := s.wake(l, parkQueue); err != nil {
+			return err
+		}
+	}
+	q.parked = slices.Delete(q.parked, 0, n)
+	return nil
+}
+
+// storeMoved runs after recovery moves a store into a queue, the one
+// change that can give a load a new older store. Every load parked on a
+// store wakes and every cached memCleared verdict is dropped, so
+// memScan decides those loads afresh. Loads parked behind an unknown
+// address stay parked: the moved store's address is known, so neither
+// unknown list changed.
+func (s *simulator) storeMoved() error {
+	for _, seq := range s.memPending {
+		if e := s.slot(seq); e.mem == memCleared {
+			e.mem = memActive
+		}
+	}
+	for _, q := range [...]*memQueue{&s.lsq, &s.lvaq} {
+		for _, st := range q.stores {
+			if err := s.wakeWaiters(s.slot(st.seq)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // maybeWake moves a waiting entry to the ready queue once its issue
@@ -758,30 +880,34 @@ func (s *simulator) maybeWake(seq int64, e *robEntry) {
 	}
 }
 
-// memScan walks pending memory operations oldest-first, resolving
-// store-to-load forwarding and granting cache ports.
-func (s *simulator) memScan() {
+// memScan walks the active memory entries oldest-first, resolving
+// store-to-load forwarding and granting cache ports. An entry that
+// cannot act parks on the event that can release it and leaves the
+// list; one held by a port or the recovery penalty stays.
+func (s *simulator) memScan() error {
 	if len(s.memPending) == 0 {
-		return
+		return nil
 	}
 	copy(s.budget, s.ports)
 
-	keep := s.memPending[:0]
-	for _, seq := range s.memPending {
+	keep := s.memNext[:0]
+	// A store's finish can wake younger entries, which insertSeq puts
+	// at a later index, so the loop re-reads s.memPending.
+	for i := 0; i < len(s.memPending); i++ {
+		seq := s.memPending[i]
 		e := s.slot(seq)
-		ti := s.inst(seq)
 		if e.readyAt > s.now {
 			keep = append(keep, seq)
 			continue
 		}
-		if !ti.IsLoad() && e.mask&depB != 0 {
-			keep = append(keep, seq) // store data not produced yet
+		ti := s.inst(seq)
+		switch {
+		case !ti.IsLoad() && e.mask&depB != 0:
+			s.park(e, parkData) // store data not produced yet
 			continue
-		}
-		if ti.IsLoad() {
+		case ti.IsLoad() && e.mem == memActive:
 			switch s.resolveLoad(seq, e, ti) {
 			case loadBlocked:
-				keep = append(keep, seq)
 				continue
 			case loadForwarded:
 				if s.trc != nil {
@@ -819,18 +945,21 @@ func (s *simulator) memScan() {
 		if s.trc != nil {
 			s.emit(seq, obs.EvCacheAccess, obs.CacheArg(pi != 0, !ti.IsLoad(), level))
 		}
-		if ti.IsLoad() {
-			if s.faults != nil {
-				lat += s.faults.ExtraLatency(grant)
-			}
-			s.schedule(evComplete, seq, s.now+int64(lat))
-		} else {
+		if !ti.IsLoad() {
 			// Stores complete into the write buffer once they own a
 			// port; the cache content is already updated above.
-			s.finish(seq)
+			if err := s.finish(seq); err != nil {
+				return err
+			}
+			continue
 		}
+		if s.faults != nil {
+			lat += s.faults.ExtraLatency(grant)
+		}
+		s.schedule(evComplete, seq, s.now+int64(lat))
 	}
-	s.memPending = keep
+	s.memPending, s.memNext = keep, s.memPending[:0]
+	return nil
 }
 
 const (
@@ -843,16 +972,23 @@ const (
 // until every older store in its queue has a known address, forwards
 // from the youngest matching older store whose data is ready, and
 // blocks on a matching store whose data is not. With fast forwarding,
-// LVAQ store addresses (frame+offset) count as known from dispatch.
+// LVAQ store addresses (frame+offset) count as known from dispatch. A
+// blocked load parks on its queue or on the matching store; a load
+// free to proceed keeps that verdict as memCleared.
 func (s *simulator) resolveLoad(seq int64, e *robEntry, ti *TraceInst) int {
-	match, blocked := s.queue(e.queue).olderStore(seq, ti.Addr>>2)
+	q := s.queue(e.queue)
+	match, blocked := q.olderStore(seq, ti.Addr>>2)
 	if blocked {
+		q.parked = insertSeq(q.parked, seq)
+		s.park(e, parkQueue)
 		return loadBlocked
 	}
 	if match >= 0 {
 		me := s.slot(match)
 		if me.mask&depB != 0 {
-			return loadBlocked // store data not produced yet
+			me.waiters = append(me.waiters, seq)
+			s.park(e, parkStore) // store data not produced yet
+			return loadBlocked
 		}
 		s.res.Forwards++
 		if e.queue == qLVAQ && s.cfg.FastForward {
@@ -860,6 +996,7 @@ func (s *simulator) resolveLoad(seq int64, e *robEntry, ti *TraceInst) int {
 		}
 		return loadForwarded
 	}
+	e.mem = memCleared
 	return loadProceed
 }
 
@@ -977,7 +1114,11 @@ func (s *simulator) dispatch() int {
 		seq := s.tailSeq
 		s.tailSeq++
 		e := s.slot(seq)
-		*e = robEntry{ti: s.nextDisp, queue: queue, consumers: e.consumers[:0]}
+		// Reset in place: copying a whole robEntry here is measurable.
+		e.ti, e.state, e.queue, e.mask = s.nextDisp, stWaiting, queue, 0
+		e.earlyAddr, e.part, e.evKind, e.mem = false, 0, evNone, memActive
+		e.evDue, e.readyAt = 0, 0
+		e.consumers = e.consumers[:0]
 		s.nextDisp++
 		n++
 		if s.trc != nil {
