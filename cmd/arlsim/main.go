@@ -15,8 +15,8 @@
 // returned results — byte-identical to a local run, with overlapping
 // units deduplicated server-side across concurrent clients. The
 // steering and fast-forward ablations run as ordinary Runner stages
-// (memoized, stored, resumable, recovery-checked), but arld serves
-// only the Figure 8 and penalty grids, so they stay local.
+// (memoized, stored, resumable), but arld serves only the Figure 8
+// and penalty grids, so they stay local.
 //
 // With -trace-events, arlsim runs a single workload through one
 // configuration with the cycle-event tracer attached and writes a
@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/cpu"
-	"repro/internal/decouple"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -156,8 +155,7 @@ func traceRun(c *cliutil.Common, cfgName string) {
 	}
 
 	ring := obs.NewRing(c.TraceCap)
-	rec := decouple.NewRecovery()
-	opts := []cpu.Option{cpu.WithTracer(ring), cpu.WithRecovery(rec)}
+	opts := []cpu.Option{cpu.WithTracer(ring)}
 	var reg *obs.Registry
 	if c.MetricsPath != "" {
 		reg = obs.NewRegistry()
@@ -196,9 +194,6 @@ func traceRun(c *cliutil.Common, cfgName string) {
 	if uint64(stats.RecoverySpans) != res.Recoveries {
 		c.Fatalf("self-check failed: trace has %d recovery spans, simulator reported %d recoveries",
 			stats.RecoverySpans, res.Recoveries)
-	}
-	if !rec.Complete() {
-		c.Fatalf("self-check failed: %d recoveries left incomplete", rec.Outstanding())
 	}
 	c.Finish(reg)
 }

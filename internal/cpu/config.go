@@ -116,6 +116,9 @@ func (c Config) Validate() error {
 	if c.IntALU <= 0 || c.FPALU <= 0 || c.IntMulDiv <= 0 || c.FPMulDiv <= 0 {
 		return fmt.Errorf("cpu config %q: non-positive FU counts", c.Name)
 	}
+	if c.MispredictPenalty < 0 {
+		return fmt.Errorf("cpu config %q: negative mispredict penalty %d", c.Name, c.MispredictPenalty)
+	}
 	return nil
 }
 

@@ -223,6 +223,23 @@ func TestConfigNames(t *testing.T) {
 	}
 }
 
+// TestValidatePenalty: a zero mispredict penalty is a machine, a
+// negative one is not, whichever constructor builds it.
+func TestValidatePenalty(t *testing.T) {
+	if err := Decoupled(3, 3).WithPenalty(0).Validate(); err != nil {
+		t.Errorf("penalty 0: %v", err)
+	}
+	if err := Decoupled(3, 3).WithPenalty(-1).Validate(); err == nil {
+		t.Error("Validate accepted penalty -1")
+	}
+	if _, err := Simulate(trace(t, loopSrc), Decoupled(3, 3).WithPenalty(-40)); err == nil {
+		t.Error("Simulate ran penalty -40")
+	}
+	if _, err := Custom(CustomParams{L1Ports: 3, LVCPorts: 3, Penalty: -1}); err == nil {
+		t.Error("Custom accepted penalty -1")
+	}
+}
+
 func TestDepRegMapping(t *testing.T) {
 	if depReg(isa.Zero, false) != noReg {
 		t.Error("$zero should carry no dependence")

@@ -1,6 +1,10 @@
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/obs"
+)
 
 // RunEventsReversed runs tr like Run, but delivers the events due in
 // each cycle in reverse seq order. It is a test-only copy of simulate's
@@ -51,25 +55,37 @@ func (sm *Sim) RecoveryWakes(tr *Trace) (onMoved, newMatch int, err error) {
 		return 0, 0, err
 	}
 	w := &wakeWitness{s: s}
-	s.recovery = w
+	s.trc = w
 	if _, err := s.simulate(); err != nil {
 		return 0, 0, err
 	}
-	return w.onMoved, w.newMatch, nil
+	return w.onMoved, w.newMatch, w.err
 }
 
-// wakeWitness is the RecoveryObserver behind RecoveryWakes.
+// wakeWitness is the tracer behind RecoveryWakes: it looks at the
+// machine on each store's recovery-detect and recovery-replay events
+// and keeps the first violation in err.
 type wakeWitness struct {
 	s                 *simulator
 	onMoved, newMatch int
+	err               error
 }
 
-func (w *wakeWitness) Detect(seq int64) error {
+func (w *wakeWitness) Emit(ev obs.Event) {
+	if w.err != nil || !ev.Recovery() || w.s.inst(ev.Seq).IsLoad() {
+		return
+	}
+	switch ev.Kind {
+	case obs.EvRecoveryDetect:
+		w.detect(ev.Seq)
+	case obs.EvRecoveryReplay:
+		w.err = w.replay(ev.Seq)
+	}
+}
+
+func (w *wakeWitness) detect(seq int64) {
 	s := w.s
 	e, ti := s.slot(seq), s.inst(seq)
-	if ti.IsLoad() {
-		return nil
-	}
 	w.onMoved += len(e.waiters)
 	to := &s.lvaq
 	if e.queue == qLVAQ {
@@ -95,16 +111,10 @@ func (w *wakeWitness) Detect(seq int64) error {
 			w.newMatch++
 		}
 	}
-	return nil
 }
 
-func (w *wakeWitness) Cancel(int64) error { return nil }
-
-func (w *wakeWitness) Replay(seq int64, _ int) error {
+func (w *wakeWitness) replay(seq int64) error {
 	s := w.s
-	if s.inst(seq).IsLoad() {
-		return nil
-	}
 	for _, q := range []*memQueue{&s.lsq, &s.lvaq} {
 		for _, st := range q.stores {
 			if n := len(s.slot(st.seq).waiters); n != 0 {

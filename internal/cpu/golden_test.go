@@ -276,21 +276,32 @@ func (t *hashTracer) Emit(ev obs.Event) {
 	t.n++
 }
 
-// hashRecovery digests the RecoveryObserver call sequence.
+// hashRecovery digests the recovery steps of the event stream, one
+// "<step> <seq> <penalty>" line each.
 type hashRecovery struct {
 	h hash.Hash
 	n int
 }
 
-func (o *hashRecovery) call(method string, seq int64, pen int) error {
-	fmt.Fprintf(o.h, "%s %d %d\n", method, seq, pen)
-	o.n++
-	return nil
+var recoverySteps = map[obs.EventKind]string{
+	obs.EvRecoveryDetect: "detect", obs.EvRecoveryCancel: "cancel", obs.EvRecoveryReplay: "replay",
 }
 
-func (o *hashRecovery) Detect(seq int64) error          { return o.call("detect", seq, 0) }
-func (o *hashRecovery) Cancel(seq int64) error          { return o.call("cancel", seq, 0) }
-func (o *hashRecovery) Replay(seq int64, pen int) error { return o.call("replay", seq, pen) }
+func (o *hashRecovery) Emit(ev obs.Event) {
+	if step, ok := recoverySteps[ev.Kind]; ok {
+		fmt.Fprintf(o.h, "%s %d %d\n", step, ev.Seq, ev.Arg)
+		o.n++
+	}
+}
+
+// tee feeds every event to each of its tracers in turn.
+type tee []obs.Tracer
+
+func (t tee) Emit(ev obs.Event) {
+	for _, tr := range t {
+		tr.Emit(ev)
+	}
+}
 
 // randomConfigs are the machines the random traces run on: a
 // conventional one, the decoupled Table 4 machine with fast forwarding
@@ -332,7 +343,7 @@ var faultPlans = []struct {
 
 // TestResultGoldenRandomTraces pins the engine on seeded aliasing-heavy
 // random traces: every Result field, the digest of the full event
-// stream and the digest of the recovery-observer calls, across early
+// stream and the digest of its recovery steps, across early
 // addresses on and off, fast forwarding on and off, every steering
 // policy, and injectors dropping ports and adding short or long
 // latency. The uninstrumented run must produce the same Result as the
@@ -356,7 +367,7 @@ func TestResultGoldenRandomTraces(t *testing.T) {
 					t.Fatalf("%s %s: %v", label, cfg.Name, err)
 				}
 				trc, rec := &hashTracer{h: sha256.New()}, &hashRecovery{h: sha256.New()}
-				traced, err := cpu.New(cfg, append(opts, cpu.WithTracer(trc), cpu.WithRecovery(rec))...)
+				traced, err := cpu.New(cfg, append(opts, cpu.WithTracer(tee{trc, rec}))...)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,13 +14,12 @@ import (
 // are safe only when the attached tracer and registry are (obs.Ring is
 // not; obs.Registry is).
 type Sim struct {
-	cfg      Config
-	ctx      context.Context
-	faults   MemFaulter
-	recovery RecoveryObserver
-	tracer   obs.Tracer
-	reg      *obs.Registry
-	labels   obs.Labels
+	cfg    Config
+	ctx    context.Context
+	faults MemFaulter
+	tracer obs.Tracer
+	reg    *obs.Registry
+	labels obs.Labels
 }
 
 // Option attaches instrumentation to a Sim.
@@ -35,12 +34,6 @@ func WithContext(ctx context.Context) Option {
 // WithFaults perturbs the memory pipeline (see MemFaulter).
 func WithFaults(f MemFaulter) Option {
 	return func(s *Sim) { s.faults = f }
-}
-
-// WithRecovery attaches a misprediction-recovery protocol witness (see
-// RecoveryObserver).
-func WithRecovery(o RecoveryObserver) Option {
-	return func(s *Sim) { s.recovery = o }
 }
 
 // WithTracer attaches a cycle-event tracer; every pipeline event of the

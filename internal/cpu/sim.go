@@ -34,19 +34,6 @@ type MemFaulter interface {
 	ExtraLatency(n uint64) int
 }
 
-// RecoveryObserver witnesses the ARPT misprediction-recovery state
-// machine as the simulator drives it: every detected wrong-queue
-// dispatch must be cancelled from the mispredicted queue and replayed
-// into the correct one at the configured penalty. A non-nil error
-// from any method aborts the simulation — observers validate protocol
-// order (see decouple.Recovery) and turn sequencing bugs into hard
-// failures instead of silent mis-modelling.
-type RecoveryObserver interface {
-	Detect(seq int64) error
-	Cancel(seq int64) error
-	Replay(seq int64, penalty int) error
-}
-
 // Result is the outcome of one timing simulation.
 type Result struct {
 	Config Config
@@ -310,10 +297,9 @@ type simulator struct {
 	plats  []int // per-partition hit latencies
 	budget []int // ports left this cycle, refilled by memScan
 
-	ctx      context.Context
-	faults   MemFaulter
-	recovery RecoveryObserver
-	nGrant   uint64 // cache-port grant ordinal (MemFaulter hook index)
+	ctx    context.Context
+	faults MemFaulter
+	nGrant uint64 // cache-port grant ordinal (MemFaulter hook index)
 
 	// Memory operations and loads dispatched, for the end-of-run
 	// conservation laws.
@@ -389,21 +375,20 @@ func (sm *Sim) newSimulator(tr *Trace) (*simulator, error) {
 	// bitmap covers 64 consecutive slots.
 	robLen := max(64, 1<<bits.Len(uint(cfg.ROBSize-1)))
 	s := &simulator{
-		cfg:      cfg,
-		tr:       tr,
-		res:      &Result{Config: cfg, Name: tr.Name},
-		rob:      make([]robEntry, robLen),
-		ready:    make([]uint64, robLen/64),
-		lsq:      memQueue{name: "LSQ"},
-		lvaq:     memQueue{name: "LVAQ"},
-		hier:     hier,
-		ports:    make([]int, len(parts)),
-		plats:    make([]int, len(parts)),
-		budget:   make([]int, len(parts)),
-		ctx:      sm.ctx,
-		faults:   sm.faults,
-		recovery: sm.recovery,
-		trc:      sm.tracer,
+		cfg:    cfg,
+		tr:     tr,
+		res:    &Result{Config: cfg, Name: tr.Name},
+		rob:    make([]robEntry, robLen),
+		ready:  make([]uint64, robLen/64),
+		lsq:    memQueue{name: "LSQ"},
+		lvaq:   memQueue{name: "LVAQ"},
+		hier:   hier,
+		ports:  make([]int, len(parts)),
+		plats:  make([]int, len(parts)),
+		budget: make([]int, len(parts)),
+		ctx:    sm.ctx,
+		faults: sm.faults,
+		trc:    sm.tracer,
 	}
 	s.robMask = int64(len(s.rob) - 1)
 	// The wheel has more buckets than the longest latency the machine
@@ -662,29 +647,30 @@ func (s *simulator) fire(b []uint64, seq int64) error {
 	return nil
 }
 
-// recoverSteering runs the misprediction-recovery state machine for one
+// recoverSteering runs the misprediction-recovery protocol for one
 // wrong-queue dispatch: detect the mismatch at address translation,
 // cancel the entry from the mispredicted queue, and replay it into the
 // correct queue with the configured penalty before it may touch a cache
-// port. The destination queue may transiently exceed its size limit —
-// hardware reserves a recovery slot; dispatch still observes the limit,
-// so occupancy self-corrects.
+// port. The straight-line code fixes that order; the entry must still
+// sit in the queue dispatch steered it to (the LVAQ iff PredStack), so
+// a second recovery or a corrupted queue is an ErrInvariant. The
+// destination queue may transiently exceed its size limit — hardware
+// reserves a recovery slot; dispatch still observes the limit, so
+// occupancy self-corrects.
 func (s *simulator) recoverSteering(seq int64, e *robEntry, ti *TraceInst) error {
+	from, to := &s.lsq, &s.lvaq
+	fromQ, toQ := uint8(qLSQ), uint8(qLVAQ)
+	if ti.PredStack() {
+		from, to = &s.lvaq, &s.lsq
+		fromQ, toQ = qLVAQ, qLSQ
+	}
+	if e.queue != fromQ {
+		return fmt.Errorf("%w: recovery of seq %d found it in the %s, but dispatch steered it to the %s",
+			ErrInvariant, seq, s.queue(e.queue).name, from.name)
+	}
 	s.res.ARPTMispredicts++
-	rec := s.recovery
 	if s.trc != nil {
 		s.emit(seq, obs.EvRecoveryDetect, 0)
-	}
-	if rec != nil {
-		if err := rec.Detect(seq); err != nil {
-			return err
-		}
-	}
-	from, to := &s.lsq, &s.lvaq
-	toQ := uint8(qLVAQ)
-	if e.queue == qLVAQ {
-		from, to = &s.lvaq, &s.lsq
-		toQ = qLSQ
 	}
 	if err := from.moveTo(to, seq, !ti.IsLoad()); err != nil {
 		return err
@@ -697,11 +683,6 @@ func (s *simulator) recoverSteering(seq int64, e *robEntry, ti *TraceInst) error
 	if s.trc != nil {
 		s.emit(seq, obs.EvRecoveryCancel, 0)
 	}
-	if rec != nil {
-		if err := rec.Cancel(seq); err != nil {
-			return err
-		}
-	}
 	e.queue = toQ
 	e.earlyAddr = s.earlyAddr(ti, toQ)
 	e.readyAt = s.now + int64(s.cfg.MispredictPenalty)
@@ -713,11 +694,6 @@ func (s *simulator) recoverSteering(seq int64, e *robEntry, ti *TraceInst) error
 			queueArg = obs.QueueLSQ
 		}
 		s.emit(seq, obs.EvQueueEnter, queueArg)
-	}
-	if rec != nil {
-		if err := rec.Replay(seq, s.cfg.MispredictPenalty); err != nil {
-			return err
-		}
 	}
 	return nil
 }

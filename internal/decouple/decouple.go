@@ -3,10 +3,10 @@
 // mechanisms (fast forwarding, recovery policy) the dual memory
 // pipeline enables. It names the steering policies the E12 ablation
 // compares — the paper's hardware ARPT against compiler-informed,
-// profile-oracle, and perfect steering — renders each into trace
-// options, and provides the Recovery witness that checks every
-// steering misprediction's detect→cancel→replay sequence. The
-// experiment Runner builds the traces and runs the simulations.
+// profile-oracle, and perfect steering — and renders each into trace
+// options. The experiment Runner builds the traces and runs the
+// simulations; the timing engine itself checks every steering
+// misprediction's recovery.
 package decouple
 
 import (

@@ -28,9 +28,9 @@ type StormRow struct {
 // penalty it simulates the (3+3) machine over the default trace with
 // its steering predictions inverted at that rate (deterministic in
 // seed; see faultinject.Storm). Each point is a Runner simulation
-// tagged storm=<seed>:<rate>, so the storms share the memo, the store
-// and the recovery witness with every other study; rate 0 is the
-// plain penalty-sweep point and dedupes with E11.
+// tagged storm=<seed>:<rate>, so the storms share the memo and the
+// store with every other study; rate 0 is the plain penalty-sweep
+// point and dedupes with E11.
 func (r *Runner) RecoveryStorm(seed uint64, rates []float64, penalties []int) ([]StormRow, error) {
 	if len(rates) == 0 || len(penalties) == 0 {
 		return nil, nil

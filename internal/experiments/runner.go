@@ -661,9 +661,7 @@ func (r *Runner) SimulateConfigARPT(w *workload.Workload, entries int, cfg cpu.C
 // prefixes both the memo and the store key, and labels the published
 // metrics (trace=<tag>) so variants sharing a config name keep
 // separate series. trace is only called on a miss, so a resumed
-// simulation never rebuilds its input. Every simulation runs under a
-// decouple.Recovery witness and fails unless every steering
-// misprediction completed its detect→cancel→replay sequence.
+// simulation never rebuilds its input.
 func (r *Runner) simulate(w *workload.Workload, cfg cpu.Config, tag string,
 	trace func() (*cpu.Trace, error)) (*cpu.Result, error) {
 	cfgKey, what := cfg.Key(), cfg.Name
@@ -703,8 +701,7 @@ func (r *Runner) simulate(w *workload.Workload, cfg cpu.Config, tag string,
 			// failed attempt's partial metrics never leak into Obs or
 			// the store.
 			reg := obs.NewRegistry()
-			rec := decouple.NewRecovery()
-			simOpts := []cpu.Option{cpu.WithRecovery(rec)}
+			var simOpts []cpu.Option
 			if r.watched() {
 				simOpts = append(simOpts, cpu.WithContext(ctx))
 			}
@@ -719,9 +716,6 @@ func (r *Runner) simulate(w *workload.Workload, cfg cpu.Config, tag string,
 			res, err = sim.Run(tr)
 			if err != nil {
 				return err
-			}
-			if !rec.Complete() {
-				return fmt.Errorf("%d recoveries left incomplete", rec.Outstanding())
 			}
 			r.noteSim(w.Name, res.Cycles, time.Since(start)) //arlvet:allow wallclock RunStats measures harness cost; wall time never reaches simulation results
 			frag = reg

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/decouple"
 	"repro/internal/detrand"
 	"repro/internal/prog"
 	"repro/internal/vm"
@@ -82,8 +81,9 @@ func (r *RunResult) Survived() bool { return r.Divergence == "" }
 //  3. otherwise require the faulted digest to equal the golden digest
 //     byte for byte, then run the timing simulation with the plan's
 //     pipeline faults (port drops, latency perturbation) attached and
-//     require it to retire the full trace with every misprediction
-//     recovery completing the detect→cancel→replay protocol.
+//     require it to retire the full trace. The engine's own checks
+//     (cpu.ErrInvariant) cover misprediction recovery: a failed check
+//     fails the simulation, which is a divergence.
 //
 // Violations are reported in RunResult.Divergence; the error return is
 // reserved for harness failures (e.g. an invalid configuration).
@@ -148,8 +148,7 @@ func RunOne(p *prog.Program, maxInsts uint64, golden *Golden, plan *Plan, cfg cp
 		return res, nil
 	}
 
-	rec := decouple.NewRecovery()
-	sim, err := cpu.New(cfg, cpu.WithFaults(inj), cpu.WithRecovery(rec))
+	sim, err := cpu.New(cfg, cpu.WithFaults(inj))
 	if err != nil {
 		return nil, err
 	}
@@ -162,15 +161,9 @@ func RunOne(p *prog.Program, maxInsts uint64, golden *Golden, plan *Plan, cfg cp
 	res.Cycles = sres.Cycles
 	res.Mispredicts = sres.ARPTMispredicts
 	res.Recoveries = sres.Recoveries
-	switch {
-	case sres.Insts != golden.Shape.Insts:
+	if sres.Insts != golden.Shape.Insts {
 		res.Divergence = fmt.Sprintf("timing model retired %d instructions, golden retired %d",
 			sres.Insts, golden.Shape.Insts)
-	case !rec.Complete():
-		res.Divergence = fmt.Sprintf("%d misprediction recoveries left incomplete", rec.Outstanding())
-	case sres.Recoveries != sres.ARPTMispredicts:
-		res.Divergence = fmt.Sprintf("recoveries %d != mispredictions %d",
-			sres.Recoveries, sres.ARPTMispredicts)
 	}
 	return res, nil
 }

@@ -145,7 +145,7 @@ func configPtr(t *testing.T, name string) *cpu.Config {
 func TestConfigNameRoundTrip(t *testing.T) {
 	var configs []cpu.Config
 	configs = append(configs, cpu.Figure8Configs()...)
-	for _, pen := range []int{1, 4, 16} {
+	for _, pen := range []int{0, 1, 4, 16} {
 		configs = append(configs, experiments.PenaltyConfig(pen))
 	}
 	for _, p := range []cpu.CustomParams{
@@ -179,6 +179,7 @@ func TestConfigNameRoundTrip(t *testing.T) {
 	for _, bad := range []string{
 		"", "(2+2", "2+2)", "(x+2)", "(2+2,)", "(2+2,pen)", "(2+2,penx4)",
 		"(2+0,lvc8K)", "(2+0,pen4)", "(2+0,region)", "(2+2,bogus)", "(2+2,pen4,pen8)",
+		"(2+2,pen-1)", "(2+0,pen0)",
 	} {
 		if _, err := ParseConfigName(bad); err == nil {
 			t.Errorf("ParseConfigName(%q) accepted", bad)
