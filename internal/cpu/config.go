@@ -178,7 +178,8 @@ func (c Config) WithPenalty(pen int) Config {
 
 // CustomParams parameterizes Custom. Zero values mean the Table 4
 // defaults: L1Latency 2, LVCSizeKB 4, Steer region (decoupled) or none
-// (conventional), Penalty 1. LVCPorts 0 selects the conventional
+// (conventional). A nil Penalty means the default of 1 cycle; a zero
+// penalty is a machine of its own. LVCPorts 0 selects the conventional
 // single-pipeline machine.
 type CustomParams struct {
 	L1Ports   int
@@ -186,7 +187,7 @@ type CustomParams struct {
 	LVCPorts  int    // 0 means conventional (no LVC)
 	LVCSizeKB int    // 0 means 4 KB
 	Steer     string // "" means region when decoupled, none when conventional
-	Penalty   int    // 0 means 1 cycle
+	Penalty   *int   // nil means 1 cycle
 
 	// ARPTEntries is carried by the explorer's grid, not by Config:
 	// the steering predictor is a front-end table sized at trace time.
@@ -209,9 +210,9 @@ func Custom(p CustomParams) (Config, error) {
 	if kb == 0 {
 		kb = 4
 	}
-	pen := p.Penalty
-	if pen == 0 {
-		pen = 1
+	pen := 1
+	if p.Penalty != nil {
+		pen = *p.Penalty
 	}
 	if p.L1Ports <= 0 {
 		return Config{}, fmt.Errorf("cpu: custom config with %d L1 ports", p.L1Ports)

@@ -235,7 +235,8 @@ func TestValidatePenalty(t *testing.T) {
 	if _, err := Simulate(trace(t, loopSrc), Decoupled(3, 3).WithPenalty(-40)); err == nil {
 		t.Error("Simulate ran penalty -40")
 	}
-	if _, err := Custom(CustomParams{L1Ports: 3, LVCPorts: 3, Penalty: -1}); err == nil {
+	pen := -1
+	if _, err := Custom(CustomParams{L1Ports: 3, LVCPorts: 3, Penalty: &pen}); err == nil {
 		t.Error("Custom accepted penalty -1")
 	}
 }

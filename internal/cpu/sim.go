@@ -310,8 +310,37 @@ type simulator struct {
 	trc obs.Tracer
 
 	// Per-cycle occupancy histograms, nil without WithMetrics.
-	occLSQ  *obs.Hist
-	occLVAQ *obs.Hist
+	occLSQ  *occupancy
+	occLVAQ *occupancy
+}
+
+// occupancy counts a queue's per-cycle occupancy densely for one run
+// and merges the counts into its histogram once, when the run ends, so
+// the cycle loop takes no lock.
+type occupancy struct {
+	h      *obs.Hist
+	counts []uint64 // counts[n] = cycles that ended with n entries
+}
+
+func newOccupancy(h *obs.Hist, size int) *occupancy {
+	return &occupancy{h: h, counts: make([]uint64, size+1)}
+}
+
+// observe counts one cycle with n entries. Dispatch fills a queue only
+// to its size, but steering recovery moves entries in regardless, so
+// the counts grow on demand.
+func (o *occupancy) observe(n int) {
+	if n >= len(o.counts) {
+		o.counts = append(o.counts, make([]uint64, n+1-len(o.counts))...)
+	}
+	o.counts[n]++
+}
+
+// flush merges the run's counts into the histogram.
+func (o *occupancy) flush() {
+	if o != nil {
+		o.h.ObserveCounts(o.counts)
+	}
 }
 
 func (s *simulator) emit(seq int64, kind obs.EventKind, arg int64) {
@@ -404,9 +433,9 @@ func (sm *Sim) newSimulator(tr *Trace) (*simulator, error) {
 	s.wheel = make([]uint64, buckets*len(s.ready))
 	if sm.reg != nil {
 		l := sm.labels.With(obs.Labels{"workload": tr.Name, "config": cfg.Name})
-		s.occLSQ = sm.reg.Hist("sim_lsq_occupancy", "LSQ entries per cycle", l)
+		s.occLSQ = newOccupancy(sm.reg.Hist("sim_lsq_occupancy", "LSQ entries per cycle", l), cfg.LSQSize)
 		if cfg.Decoupled() {
-			s.occLVAQ = sm.reg.Hist("sim_lvaq_occupancy", "LVAQ entries per cycle", l)
+			s.occLVAQ = newOccupancy(sm.reg.Hist("sim_lvaq_occupancy", "LVAQ entries per cycle", l), cfg.LVAQSize)
 		}
 	}
 	for i := range s.lastWriter {
@@ -420,6 +449,8 @@ func (s *simulator) simulate() (*Result, error) {
 	tr := s.tr
 	total := int64(len(tr.Insts))
 	idle := 0
+	defer s.occLSQ.flush()
+	defer s.occLVAQ.flush()
 	for s.headSeq < total {
 		s.now++
 		if s.ctx != nil && s.now&0x3FFF == 0 {
@@ -443,9 +474,9 @@ func (s *simulator) simulate() (*Result, error) {
 		}
 		d := s.dispatch()
 		if s.occLSQ != nil {
-			s.occLSQ.Observe(int64(len(s.lsq.seqs)))
+			s.occLSQ.observe(len(s.lsq.seqs))
 			if s.occLVAQ != nil {
-				s.occLVAQ.Observe(int64(len(s.lvaq.seqs)))
+				s.occLVAQ.observe(len(s.lvaq.seqs))
 			}
 		}
 		if c == 0 && i == 0 && d == 0 && s.pending == 0 {

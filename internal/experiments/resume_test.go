@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -115,15 +116,40 @@ func TestResumeHelper(t *testing.T) {
 	}
 }
 
-func countFiles(dir string) int {
-	n := 0
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			n++
+// payloadSpan is where one stored record's payload sits in its
+// segment.
+type payloadSpan struct {
+	path     string
+	off, len int
+}
+
+// storedPayloads frames the store's segments the way the store writes
+// them — "arlstore1 " magic, JSON header line with the payload length,
+// payload — and returns every complete record's payload span. A torn
+// tail, which the SIGKILL may leave, ends a segment's list.
+func storedPayloads(objects string) []payloadSpan {
+	const magic = "arlstore1 "
+	segs, _ := filepath.Glob(filepath.Join(objects, "*.pack"))
+	var out []payloadSpan
+	for _, path := range segs {
+		data, _ := os.ReadFile(path)
+		for off := 0; bytes.HasPrefix(data[off:], []byte(magic)); {
+			nl := bytes.IndexByte(data[off:], '\n')
+			var hdr struct {
+				Len int `json:"len"`
+			}
+			if nl < 0 || json.Unmarshal(data[off+len(magic):off+nl], &hdr) != nil {
+				break
+			}
+			start := off + nl + 1
+			if start+hdr.Len > len(data) {
+				break
+			}
+			out = append(out, payloadSpan{path: path, off: start, len: hdr.Len})
+			off = start + hdr.Len
 		}
-		return nil
-	})
-	return n
+	}
+	return out
 }
 
 // TestKillResumeDifferential is the crash-recovery acceptance test:
@@ -150,18 +176,18 @@ func TestKillResumeDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With Parallel=1 the helper commits program, trace, then results
-	// per workload: three objects guarantee at least one result record
+	// per workload: three records guarantee at least one result record
 	// — the kind that carries a metrics fragment — is on disk.
 	objects := filepath.Join(killedDir, "objects")
 	deadline := time.Now().Add(2 * time.Minute)
-	for countFiles(objects) < 3 && time.Now().Before(deadline) {
+	for len(storedPayloads(objects)) < 3 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatalf("killing helper: %v", err)
 	}
 	cmd.Wait() // reap; a kill error is expected
-	if countFiles(objects) == 0 {
+	if len(storedPayloads(objects)) == 0 {
 		t.Fatal("helper was killed before writing any store records; campaign too small")
 	}
 
@@ -193,25 +219,26 @@ func TestKillResumeDifferential(t *testing.T) {
 		t.Fatal("resumed run reported zero store hits; it recomputed everything")
 	}
 
-	// Corruption leg: flip one byte in every record the killed store
-	// holds, then resume again. Every mangled record must be detected,
-	// quarantined and recomputed — and the report must not change.
-	var flipped int
-	err = filepath.Walk(objects, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
+	// Corruption leg: flip one payload byte in every record the killed
+	// store holds, then resume again. Every mangled record must be
+	// detected, quarantined and recomputed — and the report must not
+	// change.
+	spans := storedPayloads(objects)
+	segs := map[string][]byte{}
+	for _, sp := range spans {
+		if segs[sp.path] == nil {
+			if segs[sp.path], err = os.ReadFile(sp.path); err != nil {
+				t.Fatal(err)
+			}
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		data[len(data)/2] ^= 0x01
-		flipped++
-		return os.WriteFile(path, data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
+		segs[sp.path][sp.off+sp.len/2] ^= 0x01
 	}
+	for path, data := range segs {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flipped := len(spans)
 	if flipped == 0 {
 		t.Fatal("no records to corrupt")
 	}

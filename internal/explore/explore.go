@@ -81,12 +81,12 @@ func (g Grid) Enumerate(seed uint64) ([]Point, int, error) {
 					for _, pen := range pens {
 						p := cpu.CustomParams{
 							L1Ports: n, LVCPorts: m, LVCSizeKB: kb,
-							Steer: g.Steer, Penalty: pen, ARPTEntries: entries,
+							Steer: g.Steer, Penalty: &pen, ARPTEntries: entries,
 						}
 						if m == 0 {
 							// No second partition: nothing to size, steer
 							// toward, or mispredict into.
-							p.LVCSizeKB, p.Steer, p.Penalty, p.ARPTEntries = 0, "", 0, 0
+							p.LVCSizeKB, p.Steer, p.Penalty, p.ARPTEntries = 0, "", nil, 0
 						}
 						cfg, err := cpu.Custom(p)
 						if err != nil {

@@ -21,7 +21,8 @@ var lockheldPkgs = map[string]bool{
 // Lockheld flags sync.Mutex/RWMutex critical sections that reach a
 // blocking operation — channel send/receive, select without default,
 // time.Sleep, WaitGroup.Wait, net/http traffic, resilience retry
-// loops, artifact-store I/O, or write-ahead journal I/O — before
+// loops, artifact-store I/O (store.File writes and syncs included), or
+// write-ahead journal I/O — before
 // unlocking. A blocked critical section stalls every other goroutine
 // behind the lock and is the classic shape of the memoization
 // deadlocks PR 1 removed. The journal's write-ahead discipline
@@ -244,6 +245,9 @@ func blockingCallee(pass *Pass, call *ast.CallExpr) string {
 		return "exec.Cmd." + name
 	case strings.HasPrefix(recvType, "*repro/internal/store.Store"):
 		return "store I/O " + name
+	case (name == "Write" || name == "Sync") && onStoreFile(pass, call):
+		// A segment append or its fsync: real file I/O.
+		return "store I/O File." + name
 	case pkg == "repro/internal/store" && (name == "Open" || name == "OpenFS" ||
 		name == "WriteFileAtomic" || name == "WriteFileAtomicFS"):
 		return "store I/O " + name
@@ -258,6 +262,18 @@ func blockingCallee(pass *Pass, call *ast.CallExpr) string {
 		return "resilience retry loop"
 	}
 	return ""
+}
+
+// onStoreFile reports whether call is a method call on a store.File
+// value. The check is on the operand's static type because File's
+// Write is io.Writer's method.
+func onStoreFile(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	t := pass.TypeOf(sel.X)
+	return t != nil && t.String() == "repro/internal/store.File"
 }
 
 func recvShort(t string) string {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/service/journal"
+	"repro/internal/store"
 )
 
 type queue struct {
@@ -82,4 +83,25 @@ func (q *queue) journalOrdered(j *journal.Journal) error {
 	defer q.mu.Unlock()
 	//arlvet:allow lockheld fixture: append-before-visible ordering requires the lock
 	return j.Append(journal.Record{T: journal.TypeEnd})
+}
+
+// Bad: a segment append and its fsync under the lock.
+func (q *queue) appendUnderLock(f store.File, rec []byte) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if _, err := f.Write(rec); err != nil { // want `store I/O File\.Write while q\.mu is held`
+		return err
+	}
+	return f.Sync() // want `store I/O File\.Sync while q\.mu is held`
+}
+
+// Good: the same I/O after the critical section.
+func (q *queue) appendOutside(f store.File, rec []byte) error {
+	q.mu.Lock()
+	q.items = append(q.items, len(rec))
+	q.mu.Unlock()
+	if _, err := f.Write(rec); err != nil {
+		return err
+	}
+	return f.Sync()
 }

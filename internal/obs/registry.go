@@ -62,6 +62,24 @@ func (h *Hist) Observe(v int64) {
 	h.mu.Unlock()
 }
 
+// ObserveCounts records counts[v] samples of each value v: a dense
+// histogram a hot loop filled without locking, merged in one step.
+func (h *Hist) ObserveCounts(counts []uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for v, c := range counts {
+		if c == 0 {
+			continue
+		}
+		if h.counts == nil {
+			h.counts = make(map[int64]uint64)
+		}
+		h.counts[int64(v)] += c
+		h.sum += float64(v) * float64(c)
+		h.n += c
+	}
+}
+
 // Count reports the number of samples.
 func (h *Hist) Count() uint64 {
 	h.mu.Lock()
@@ -147,10 +165,11 @@ func (r *Registry) get(name, help, typ string, labels Labels) *entry {
 	key := name + labels.key()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if have, ok := r.types[name]; ok && have != typ {
+	if have, ok := r.types[name]; !ok {
+		r.types[name] = typ
+	} else if have != typ {
 		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, have, typ))
 	}
-	r.types[name] = typ
 	if help != "" && r.help[name] == "" {
 		r.help[name] = help
 	}

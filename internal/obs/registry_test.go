@@ -38,6 +38,33 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 	r.Gauge("m", "", nil)
 }
 
+// TestObserveCountsMatchesObserve: merging a dense count vector gives
+// the histogram one Observe per sample would have, buckets, count and
+// sum alike, also on top of samples already held.
+func TestObserveCountsMatchesObserve(t *testing.T) {
+	r := NewRegistry()
+	one, bulk := r.Hist("one", "", nil), r.Hist("bulk", "", nil)
+	one.Observe(3)
+	bulk.Observe(3)
+	counts := []uint64{2, 0, 5, 1, 0, 0, 7}
+	for v, c := range counts {
+		for i := uint64(0); i < c; i++ {
+			one.Observe(int64(v))
+		}
+	}
+	bulk.ObserveCounts(counts)
+	b1, n1, s1 := one.snapshot()
+	b2, n2, s2 := bulk.snapshot()
+	if !reflect.DeepEqual(b1, b2) || n1 != n2 || s1 != s2 {
+		t.Fatalf("bulk = (%v, %d, %v), per-sample = (%v, %d, %v)", b2, n2, s2, b1, n1, s1)
+	}
+	empty := r.Hist("empty", "", nil)
+	empty.ObserveCounts([]uint64{0, 0})
+	if b, n, _ := empty.snapshot(); len(b) != 0 || n != 0 {
+		t.Fatalf("all-zero counts recorded samples: %v, %d", b, n)
+	}
+}
+
 func TestRegistryConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

@@ -150,9 +150,10 @@ func TestConfigNameRoundTrip(t *testing.T) {
 	}
 	for _, p := range []cpu.CustomParams{
 		{L1Ports: 2, LVCPorts: 2, LVCSizeKB: 8},
-		{L1Ports: 3, LVCPorts: 2, L1Latency: 3, Penalty: 4},
+		{L1Ports: 3, LVCPorts: 2, L1Latency: 3, Penalty: penalty(4)},
 		{L1Ports: 2, LVCPorts: 2, Steer: "pattern"},
-		{L1Ports: 2, LVCPorts: 2, Steer: "pchash", LVCSizeKB: 16, Penalty: 8},
+		{L1Ports: 2, LVCPorts: 2, Steer: "pchash", LVCSizeKB: 16, Penalty: penalty(8)},
+		{L1Ports: 2, LVCPorts: 2, Penalty: penalty(0)},
 		{L1Ports: 4, L1Latency: 1},
 	} {
 		cfg, err := cpu.Custom(p)
@@ -183,6 +184,32 @@ func TestConfigNameRoundTrip(t *testing.T) {
 	} {
 		if _, err := ParseConfigName(bad); err == nil {
 			t.Errorf("ParseConfigName(%q) accepted", bad)
+		}
+	}
+}
+
+func penalty(p int) *int { return &p }
+
+// TestExplorePenaltyZero: an explorer grid with penalty 0 simulates
+// penalty 0, not the default of 1, and its point names parse back to
+// the same machine.
+func TestExplorePenaltyZero(t *testing.T) {
+	pts, _, err := explore.Grid{L1Ports: []int{3}, LVCPorts: []int{0, 3}, Penalties: []int{0, 1}}.Enumerate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"(3+0)": 1, "(3+3,pen0)": 0, "(3+3)": 1}
+	if len(pts) != len(want) {
+		t.Fatalf("points = %v, want %v", pts, want)
+	}
+	for _, p := range pts {
+		pen, ok := want[p.Name]
+		if !ok || p.Config.MispredictPenalty != pen {
+			t.Errorf("point %s has penalty %d, want %v", p.Name, p.Config.MispredictPenalty, want)
+		}
+		back, err := ParseConfigName(p.Name)
+		if err != nil || !reflect.DeepEqual(back, p.Config) {
+			t.Errorf("%s does not round-trip: %v", p.Name, err)
 		}
 	}
 }

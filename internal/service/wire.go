@@ -210,7 +210,7 @@ func ParseConfigName(name string) (cpu.Config, error) {
 		case scanToken(tok, "lvc%dK", &v):
 			kind, p.LVCSizeKB = 2, v
 		case scanToken(tok, "pen%d", &v):
-			kind, p.Penalty = 3, v
+			kind, p.Penalty = 3, &v
 		default:
 			return bad()
 		}
@@ -220,13 +220,6 @@ func ParseConfigName(name string) (cpu.Config, error) {
 		seen[kind] = true
 	}
 	c, err := cpu.Custom(p)
-	if err == nil && seen[3] && p.Penalty == 0 {
-		// Custom reads Penalty 0 as the default; "pen0" means 0.
-		if p.LVCPorts == 0 {
-			err = fmt.Errorf("steering penalty on a conventional (%d+0) config", p.L1Ports)
-		}
-		c = c.WithPenalty(0)
-	}
 	if err != nil {
 		return cpu.Config{}, fmt.Errorf("bad config %q: %w", name, err)
 	}

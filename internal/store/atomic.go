@@ -3,11 +3,10 @@ package store
 import (
 	"os"
 	"path/filepath"
-	"strings"
 )
 
-// tmpPrefix marks in-flight atomic writes. Files carrying it are
-// invisible to readers and swept as crash debris by Open.
+// tmpPrefix marks in-flight atomic writes; a crash can leave such a
+// file behind, but never in place of the target.
 const tmpPrefix = ".tmp-"
 
 // WriteFileAtomic writes data to path so that a reader (or a crash at
@@ -50,31 +49,4 @@ func WriteFileAtomicFS(fs FS, path string, data []byte, perm os.FileMode) error 
 		return err
 	}
 	return nil
-}
-
-// sweepTemp removes leftover tmpPrefix files under dir — the debris a
-// SIGKILL mid-write leaves behind. Rename is atomic, so anything still
-// carrying the prefix never became visible and is safe to delete.
-func sweepTemp(fs FS, dir string) (removed int, err error) {
-	entries, err := fs.ReadDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	for _, e := range entries {
-		path := filepath.Join(dir, e.Name())
-		if e.IsDir() {
-			n, err := sweepTemp(fs, path)
-			removed += n
-			if err != nil {
-				return removed, err
-			}
-			continue
-		}
-		if strings.HasPrefix(e.Name(), tmpPrefix) {
-			if rmErr := fs.Remove(path); rmErr == nil {
-				removed++
-			}
-		}
-	}
-	return removed, nil
 }

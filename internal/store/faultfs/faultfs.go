@@ -16,8 +16,10 @@
 // The rename-drop kind models the classic lost-rename crash: Rename
 // reports success but the destination never appears, exactly what a
 // power cut between a rename's journal commit and its directory-entry
-// write leaves behind. The store's verify-on-read + recompute discipline
-// must absorb it as a miss.
+// write leaves behind. It hits the atomic-write protocol
+// (store.WriteFileAtomicFS, used by the journal's quarantine copies and
+// the CLIs' artifacts); the artifact store appends to segments and
+// renames nothing.
 package faultfs
 
 import (
@@ -57,7 +59,7 @@ const (
 	// RenameDrop makes one Rename report success without renaming —
 	// the lost-rename crash model.
 	RenameDrop
-	// ReadEIO fails one ReadFile with EIO.
+	// ReadEIO fails one ReadFile or ReadAt with EIO.
 	ReadEIO
 
 	numKinds
@@ -100,7 +102,8 @@ func ParsePlan(spec string) (*Plan, error) {
 }
 
 // The operation classes that draw ordinals: writes (all three write
-// kinds share the stream of File.Write calls), syncs, renames, reads.
+// kinds share the stream of File.Write calls), syncs, renames, reads
+// (ReadFile and ReadAt share one stream).
 const (
 	classWrite = iota
 	classSync
@@ -205,6 +208,13 @@ func (f *FS) ReadFile(name string) ([]byte, error) {
 		return nil, injected(ReadEIO, syscall.EIO)
 	}
 	return f.inner.ReadFile(name)
+}
+
+func (f *FS) ReadAt(name string, p []byte, off int64) (int, error) {
+	if _, ok := f.trip(classRead, ReadEIO); ok {
+		return 0, injected(ReadEIO, syscall.EIO)
+	}
+	return f.inner.ReadAt(name, p, off)
 }
 
 func (f *FS) ReadDir(name string) ([]os.DirEntry, error) { return f.inner.ReadDir(name) }

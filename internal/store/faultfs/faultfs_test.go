@@ -150,32 +150,60 @@ func TestEachKindFiresOnce(t *testing.T) {
 			t.Fatalf("retry after once-only fault: %q, %v", data, err)
 		}
 	})
+
+	t.Run("read-eio-at", func(t *testing.T) {
+		// ReadFile and ReadAt share the read ordinals.
+		fs := New(nil, &Plan{Faults: []Fault{{Kind: ReadEIO, Op: 1}}}, t.Logf)
+		path := filepath.Join(dir, "r2")
+		if err := os.WriteFile(path, []byte("xyz"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.ReadFile(path); err != nil {
+			t.Fatalf("op0 should pass: %v", err)
+		}
+		p := make([]byte, 2)
+		if _, err := fs.ReadAt(path, p, 1); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("read err = %v, want EIO", err)
+		}
+		if n, err := fs.ReadAt(path, p, 1); err != nil || string(p[:n]) != "yz" {
+			t.Fatalf("retry after once-only fault: %q, %v", p[:n], err)
+		}
+	})
 }
 
-// TestStoreSurvivesWriteFaults drives the artifact store's atomic-write
-// protocol through injected faults: the Put fails cleanly (or the
-// rename drop hides it), the store stays consistent, and a retried Put
-// lands.
+// TestStoreSurvivesWriteFaults drives the artifact store's append
+// path through injected faults: the Put fails cleanly and abandons its
+// segment, a retried Put lands in a fresh segment, and a reopened
+// store reads it back — skipping the torn half-frame a short write
+// leaves. The store renames nothing, so a planned rename drop never
+// fires on it.
 func TestStoreSurvivesWriteFaults(t *testing.T) {
-	for _, kind := range []Kind{WriteEIO, ShortWrite, WriteENOSPC, SyncFail, RenameDrop} {
-		t.Run(kind.String(), func(t *testing.T) {
-			fs := New(nil, &Plan{Faults: []Fault{{Kind: kind, Op: 0}}}, t.Logf)
-			st, err := store.OpenFS(t.TempDir(), fs)
+	for _, tc := range []struct {
+		kind Kind
+		segs int    // segment files after the retried Put
+		torn uint64 // torn tails a reopen skips
+	}{
+		{WriteEIO, 2, 0},
+		{ShortWrite, 2, 1},
+		{WriteENOSPC, 2, 0},
+		{SyncFail, 2, 0},
+		{RenameDrop, 1, 0},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			fs := New(nil, &Plan{Faults: []Fault{{Kind: tc.kind, Op: 0}}}, t.Logf)
+			st, err := store.OpenFS(dir, fs)
 			if err != nil {
 				t.Fatalf("OpenFS: %v", err)
 			}
 			key := store.Key{Kind: "result", Workload: "w", Scale: 1}
 			err = st.Put(key, "payload")
-			if kind == RenameDrop {
-				if err != nil {
-					t.Fatalf("rename drop is silent, Put reported %v", err)
+			if tc.kind == RenameDrop {
+				if err != nil || fs.Fired() != 0 {
+					t.Fatalf("Put = %v with %d faults fired, want success and none", err, fs.Fired())
 				}
-				var got string
-				if ok, err := st.Get(key, &got); ok || err != nil {
-					t.Fatalf("dropped rename must degrade to a miss, got ok=%v err=%v", ok, err)
-				}
-			} else if !errors.Is(err, ErrInjected) {
-				t.Fatalf("Put err = %v, want injected", err)
+			} else if !errors.Is(err, ErrInjected) || fs.Fired() != 1 {
+				t.Fatalf("Put err = %v (%d fired), want injected", err, fs.Fired())
 			}
 			if err := st.Put(key, "payload"); err != nil {
 				t.Fatalf("retried Put: %v", err)
@@ -185,7 +213,55 @@ func TestStoreSurvivesWriteFaults(t *testing.T) {
 			if !ok || err != nil || got != "payload" {
 				t.Fatalf("Get after retry: ok=%v %q %v", ok, got, err)
 			}
+			if segs, _ := filepath.Glob(filepath.Join(dir, "objects", "*.pack")); len(segs) != tc.segs {
+				t.Fatalf("segments = %v, want %d", segs, tc.segs)
+			}
+			re, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = ""
+			if ok, err := re.Get(key, &got); !ok || err != nil || got != "payload" {
+				t.Fatalf("Get after reopen: ok=%v %q %v", ok, got, err)
+			}
+			if s := re.Stats(); s.Torn != tc.torn || s.Corrupt != 0 {
+				t.Fatalf("reopened stats = %+v, want %d torn, 0 corrupt", s, tc.torn)
+			}
 		})
+	}
+}
+
+// TestStoreReadFaults puts EIO on the store's positional reads: on a
+// Get's frame read it is an environmental error, not corruption, and
+// the retry hits; on Open's header scan it leaves the segment for the
+// next miss to index.
+func TestStoreReadFaults(t *testing.T) {
+	dir := t.TempDir()
+	writer, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := store.Key{Kind: "result", Workload: "w", Scale: 1}
+	if err := writer.Put(key, "payload"); err != nil {
+		t.Fatal(err)
+	}
+
+	fs := New(nil, &Plan{Faults: []Fault{{Kind: ReadEIO, Op: 0}, {Kind: ReadEIO, Op: 2}}}, t.Logf)
+	st, err := store.OpenFS(dir, fs) // read op 0: the header scan fails
+	if err != nil {
+		t.Fatalf("OpenFS over a failing scan: %v", err)
+	}
+	var got string
+	// Read op 1: the miss rescans and finds the frame; op 2: the frame
+	// read fails.
+	if ok, err := st.Get(key, &got); ok || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Get = (%v, %v), want an EIO error", ok, err)
+	}
+	if ok, err := st.Get(key, &got); !ok || err != nil || got != "payload" {
+		t.Fatalf("retried Get = (%v, %v) %q, want hit", ok, err, got)
+	}
+	if s := st.Stats(); s.Corrupt != 0 || fs.Fired() != 2 {
+		t.Fatalf("stats = %+v with %d fired, want no corruption and both faults", s, fs.Fired())
 	}
 }
 

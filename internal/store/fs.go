@@ -5,9 +5,9 @@ import (
 	"os"
 )
 
-// File is the handle an FS hands out for writing: the store's atomic
-// writes and the service journal's appends need exactly write, sync,
-// close and the backing name.
+// File is the handle an FS hands out for writing: the store's segment
+// appends, the atomic writes and the service journal's appends need
+// exactly write, sync, close and the backing name.
 type File interface {
 	io.Writer
 	Sync() error
@@ -26,12 +26,16 @@ type FS interface {
 	// semantics) for the atomic-write protocol.
 	CreateTemp(dir, pattern string) (File, error)
 	// OpenAppend opens path for appending, creating it when absent —
-	// the journal's segment handle.
+	// the store's and the journal's segment handle.
 	OpenAppend(path string, perm os.FileMode) (File, error)
 	Chmod(name string, mode os.FileMode) error
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	ReadFile(name string) ([]byte, error)
+	// ReadAt reads len(p) bytes of name from byte off (io.ReaderAt
+	// semantics: fewer bytes come with an error, io.EOF at the end of
+	// the file) — the store's positional read of a frame or a header.
+	ReadAt(name string, p []byte, off int64) (int, error)
 	ReadDir(name string) ([]os.DirEntry, error)
 	Stat(name string) (os.FileInfo, error)
 }
@@ -69,6 +73,15 @@ func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, ne
 func (osFS) Remove(name string) error { return os.Remove(name) }
 
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+
+func (osFS) ReadAt(name string, p []byte, off int64) (int, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return f.ReadAt(p, off)
+}
 
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
 
