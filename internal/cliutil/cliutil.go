@@ -310,8 +310,8 @@ func (c *Common) Start() {
 
 // Finish flushes the instrumentation: stops the CPU profile, writes
 // the heap profile, and — when reg is non-nil and -metrics selected a
-// path — writes the schema-validated metrics artifact. Safe to call
-// when Start was not.
+// path — writes the schema-validated metrics artifact. Last it closes
+// the store OpenStore opened. Safe to call when Start was not.
 func (c *Common) Finish(reg *obs.Registry) {
 	if c.cpuOut != nil {
 		pprof.StopCPUProfile()
@@ -346,6 +346,11 @@ func (c *Common) Finish(reg *obs.Registry) {
 		}
 		if !c.Quiet {
 			fmt.Fprintf(os.Stderr, "%s: metrics artifact written to %s\n", c.Cmd, c.MetricsPath)
+		}
+	}
+	if c.Store != nil {
+		if err := c.Store.Close(); err != nil {
+			c.Fatalf("store: %v", err)
 		}
 	}
 }
