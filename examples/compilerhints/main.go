@@ -100,10 +100,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = core.Trace(m, func(ev core.RefEvent) {
-		none.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
-		compiler.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
-		oracleC.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
+	err = core.Trace(m, 0, func(ev core.RefEvent) {
+		none.Classify(ev)
+		compiler.Classify(ev)
+		oracleC.Classify(ev)
 	})
 	if err != nil {
 		log.Fatal(err)

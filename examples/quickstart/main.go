@@ -69,8 +69,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	err = core.Trace(m, func(ev core.RefEvent) {
-		cls.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
+	err = core.Trace(m, 0, func(ev core.RefEvent) {
+		cls.Classify(ev)
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -150,13 +150,13 @@ func NewClassifier(cfg ClassifierConfig, opts ...ClassifierOption) (*Classifier,
 
 // Classify predicts the access region of one dynamic memory reference
 // and trains on the actual outcome. It returns the prediction made.
-func (c *Classifier) Classify(index int, pc uint32, in isa.Inst, ctx Context, actual Prediction) Prediction {
+func (c *Classifier) Classify(ev RefEvent) Prediction {
 	c.Stats.Total++
 
 	if c.Hints != nil {
-		if pred, usable := HintPrediction(c.Hints(index)); usable {
+		if pred, usable := HintPrediction(c.Hints(ev.Index)); usable {
 			c.Stats.HintCovered++
-			if pred == actual {
+			if pred == ev.Actual {
 				c.Stats.Correct++
 				c.Stats.HintCorrect++
 			}
@@ -164,10 +164,10 @@ func (c *Classifier) Classify(index int, pc uint32, in isa.Inst, ctx Context, ac
 		}
 	}
 
-	pred, covered := StaticPredict(in)
-	if covered {
+	pred := ev.Static
+	if ev.Covered {
 		c.Stats.StaticCovered++
-		if pred == actual {
+		if pred == ev.Actual {
 			c.Stats.Correct++
 		}
 		return pred
@@ -175,11 +175,10 @@ func (c *Classifier) Classify(index int, pc uint32, in isa.Inst, ctx Context, ac
 
 	c.Stats.TableLookups++
 	if c.Table != nil {
-		pred = c.Table.Predict(pc, ctx)
-		c.Table.Update(pc, ctx, actual)
+		pred = c.Table.lookup(c.Table.Index(ev.PC, ev.Ctx), ev.Actual)
 	}
 	// SchemeStatic keeps rule 4's default (non-stack) prediction.
-	if pred == actual {
+	if pred == ev.Actual {
 		c.Stats.Correct++
 		c.Stats.TableCorrect++
 	}
@@ -187,35 +186,52 @@ func (c *Classifier) Classify(index int, pc uint32, in isa.Inst, ctx Context, ac
 }
 
 // RefEvent is one dynamic memory reference with the fetch-stage context
-// the predictor would have seen.
+// the predictor would have seen and the addressing-mode rule's verdict,
+// evaluated once for every classifier that sees the reference.
 type RefEvent struct {
-	Index  int
+	Index  int // static instruction index
 	PC     uint32
-	Addr   uint32 // effective address
-	Inst   isa.Inst
 	Ctx    Context
 	Actual Prediction
+
+	// Static and Covered are StaticPredict of the instruction.
+	Static  Prediction
+	Covered bool
 }
 
-// Trace runs machine m to completion, maintaining the global branch
-// history and caller identification, and invokes handle for every
-// dynamic memory reference. Several classifiers can share one trace.
-func Trace(m *vm.Machine, handle func(RefEvent)) error {
+// NewRefEvent describes the memory reference ev under the fetch-stage
+// context ctx. It is the one place StaticPredict runs on a dynamic
+// reference.
+func NewRefEvent(ev vm.Event, ctx Context) RefEvent {
+	static, covered := StaticPredict(ev.Inst)
+	return RefEvent{Index: ev.Index, PC: ev.PC, Ctx: ctx, Actual: ActualOf(ev.Region),
+		Static: static, Covered: covered}
+}
+
+// Trace runs machine m until it halts or has executed limit
+// instructions (0 means vm.DefaultMaxInsts), maintaining the global
+// branch history and caller identification, and invokes handle for
+// every dynamic memory reference. Several classifiers can share one
+// trace. The run is truncated at the limit, not failed: m's own
+// budget is set just past it.
+func Trace(m *vm.Machine, limit uint64, handle func(RefEvent)) error {
+	if limit == 0 {
+		limit = vm.DefaultMaxInsts
+	}
+	m.MaxInsts = limit + 1
 	var ctx Context
-	return m.Run(func(ev vm.Event) {
-		if ev.Inst.IsMem() {
-			ctx.CID = m.Reg(isa.RA)
-			handle(RefEvent{
-				Index:  ev.Index,
-				PC:     ev.PC,
-				Addr:   ev.MemAddr,
-				Inst:   ev.Inst,
-				Ctx:    ctx,
-				Actual: ActualOf(ev.Region),
-			})
+	for !m.Halted() && m.Seq() < limit {
+		ev, err := m.Step()
+		if err != nil {
+			return err
 		}
-		if ev.Inst.IsBranch() {
+		switch ev.Inst.Classify() {
+		case isa.ClassLoad, isa.ClassStore:
+			ctx.CID = m.Reg(isa.RA)
+			handle(NewRefEvent(ev, ctx))
+		case isa.ClassBranch:
 			ctx.UpdateGBH(ev.Taken)
 		}
-	})
+	}
+	return nil
 }

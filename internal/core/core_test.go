@@ -273,9 +273,9 @@ int main() {
 	hybrid, _ := NewClassifier(ClassifierConfig{Scheme: Scheme1BitHybrid})
 	all := []*Classifier{static, oneBit, hybrid}
 
-	err = Trace(m, func(ev RefEvent) {
+	err = Trace(m, 0, func(ev RefEvent) {
 		for _, c := range all {
-			c.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
+			c.Classify(ev)
 		}
 	})
 	if err != nil {
@@ -336,7 +336,7 @@ int main() {
 }
 
 func core_trace(m *vm.Machine, c *Classifier) error {
-	return Trace(m, func(ev RefEvent) {
-		c.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
+	return Trace(m, 0, func(ev RefEvent) {
+		c.Classify(ev)
 	})
 }

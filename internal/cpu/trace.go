@@ -200,6 +200,11 @@ func depReg(r isa.Register, fp bool) int8 {
 	return int8(r)
 }
 
+// maxTraceReserve caps the instructions BuildTrace reserves room for
+// up front (16 MiB of TraceInsts), so a short program under a huge
+// MaxInsts does not reserve gigabytes; a longer trace grows past it.
+const maxTraceReserve = 1 << 20
+
 // BuildTrace runs program p functionally and produces its timing trace.
 func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 	m, err := vm.New(vm.Config{Program: p, Out: opts.Out})
@@ -240,6 +245,9 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 	}
 
 	tr := &Trace{Name: p.Name}
+	if opts.MaxInsts > 0 {
+		tr.Insts = make([]TraceInst, 0, min(opts.MaxInsts, maxTraceReserve))
+	}
 	var vp valuePredictor
 	var ctx core.Context
 	var memRef uint64 // dynamic memory-reference ordinal for SteerFault
@@ -282,25 +290,25 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 				ti.Flags |= FlagFPMem
 			}
 			ti.Addr = ev.MemAddr
-			if _, covered := core.StaticPredict(in); covered {
+			ctx.CID = m.Reg(isa.RA)
+			ref := core.NewRefEvent(ev, ctx)
+			if ref.Covered {
 				// $sp/$fp/$gp/constant addressing: the effective address
 				// is computable at dispatch in any machine (the base
 				// register is architecturally stable), so disambiguation
 				// need not wait for the AGU.
 				ti.Flags |= FlagEarlyAddr
 			}
-			actual := core.ActualOf(ev.Region)
-			if actual == core.PredictStack {
+			if ref.Actual == core.PredictStack {
 				ti.Flags |= FlagStack
 			}
 			var pred core.Prediction
 			if opts.PerfectSteering {
-				pred = actual
+				pred = ref.Actual
 				cls.Stats.Total++
 				cls.Stats.Correct++
 			} else {
-				ctx.CID = m.Reg(isa.RA)
-				pred = cls.Classify(ev.Index, ev.PC, in, ctx, actual)
+				pred = cls.Classify(ref)
 			}
 			if opts.SteerFault != nil {
 				pred = opts.SteerFault(memRef, pred)

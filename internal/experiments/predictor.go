@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/prog"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -96,67 +95,69 @@ type PredictorStudy struct {
 	Ablation []AblationRow
 }
 
-// classifierSet is everything evaluated during one program run.
+// classifierSet is every classifier of the predictor study. The
+// study's single functional pass walks all of them in a fixed order
+// for each reference; the figures read them back by position.
 type classifierSet struct {
-	schemes map[core.Scheme]*core.Classifier      // Figure 4 + Table 3
-	sized   map[int]map[HintMode]*core.Classifier // Figure 5
-	twoBit  map[core.Scheme]*core.Classifier      // E9
+	all     []*core.Classifier   // every classifier below, in pass order
+	schemes []*core.Classifier   // Figure 4, Table 3 and E9, indexed by core.Scheme
+	sized   [][]*core.Classifier // Figure 5, [Figure5Sizes][figure5Modes]
 }
+
+// figure5Modes are the hint modes of Figure 5.
+var figure5Modes = []HintMode{HintsOff, HintsOracle, HintsCompiler}
 
 func buildClassifiers(p *prog.Program, oracle core.HintSource) (*classifierSet, error) {
-	cs := &classifierSet{
-		schemes: make(map[core.Scheme]*core.Classifier),
-		sized:   make(map[int]map[HintMode]*core.Classifier),
-		twoBit:  make(map[core.Scheme]*core.Classifier),
-	}
-	for _, s := range core.AllSchemes {
-		c, err := core.NewClassifier(core.ClassifierConfig{Scheme: s})
-		if err != nil {
-			return nil, err
+	cs := &classifierSet{}
+	var err error
+	add := func(cfg core.ClassifierConfig, opts ...core.ClassifierOption) *core.Classifier {
+		c, cerr := core.NewClassifier(cfg, opts...)
+		if cerr != nil {
+			err = cerr
 		}
-		cs.schemes[s] = c
+		cs.all = append(cs.all, c)
+		return c
 	}
-	for _, s := range []core.Scheme{core.Scheme2Bit, core.Scheme2BitHybrid} {
-		c, err := core.NewClassifier(core.ClassifierConfig{Scheme: s})
-		if err != nil {
-			return nil, err
-		}
-		cs.twoBit[s] = c
+	for s := core.SchemeStatic; s <= core.Scheme2BitHybrid; s++ {
+		cs.schemes = append(cs.schemes, add(core.ClassifierConfig{Scheme: s}))
 	}
+	hints := map[HintMode]core.HintSource{HintsOracle: oracle, HintsCompiler: p.HintAt}
 	for _, size := range Figure5Sizes {
-		cs.sized[size] = make(map[HintMode]*core.Classifier)
-		for _, mode := range []HintMode{HintsOff, HintsOracle, HintsCompiler} {
-			var hints core.HintSource
-			switch mode {
-			case HintsOracle:
-				hints = oracle
-			case HintsCompiler:
-				hints = p.HintAt
-			}
-			c, err := core.NewClassifier(
+		var byMode []*core.Classifier
+		for _, mode := range figure5Modes {
+			byMode = append(byMode, add(
 				core.ClassifierConfig{Scheme: core.Scheme1BitHybrid, Entries: size},
-				core.WithHints(hints))
-			if err != nil {
-				return nil, err
-			}
-			cs.sized[size][mode] = c
+				core.WithHints(hints[mode])))
 		}
+		cs.sized = append(cs.sized, byMode)
 	}
-	return cs, nil
+	return cs, err
 }
 
-func (cs *classifierSet) classify(ev core.RefEvent) {
-	for _, c := range cs.schemes {
-		c.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
+// classifyPass runs w's functional pass, truncated at r.MaxInsts, and
+// hands every memory reference to each classifier of bank in order,
+// then to onRef when it is non-nil.
+func (r *Runner) classifyPass(w *workload.Workload, bank []*core.Classifier, onRef func(core.RefEvent)) error {
+	p, err := r.Program(w)
+	if err != nil {
+		return err
 	}
-	for _, c := range cs.twoBit {
-		c.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
+	m, err := vm.New(vm.Config{Program: p})
+	if err != nil {
+		return err
 	}
-	for _, byMode := range cs.sized {
-		for _, c := range byMode {
-			c.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
+	err = core.Trace(m, r.MaxInsts, func(ev core.RefEvent) {
+		for _, c := range bank {
+			c.Classify(ev)
 		}
+		if onRef != nil {
+			onRef(ev)
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("%s: %w", w.Name, err)
 	}
+	return nil
 }
 
 // predictorRows is one workload's slice of the predictor study.
@@ -186,56 +187,38 @@ func (r *Runner) RunPredictorStudy() (*PredictorStudy, error) {
 	return study, nil
 }
 
+// predictorClassifiers builds w's classifierSet and runs the study's
+// single functional pass through it.
+func (r *Runner) predictorClassifiers(w *workload.Workload) (*classifierSet, error) {
+	p, err := r.Program(w)
+	if err != nil {
+		return nil, err
+	}
+	pr, err := r.Profile(w) // memoized; supplies the oracle
+	if err != nil {
+		return nil, err
+	}
+	cs, err := buildClassifiers(p, pr.Oracle())
+	if err != nil {
+		return nil, err
+	}
+	r.logf("predictor study %s ...", w.Name)
+	return cs, r.classifyPass(w, cs.all, nil)
+}
+
 // predictorPass runs the single shared functional pass for one
 // workload and extracts its Figure 4 / Table 3 / Figure 5 / E9 rows.
 func (r *Runner) predictorPass(w *workload.Workload) (predictorRows, error) {
 	var rows predictorRows
-	p, err := r.Program(w)
+	cs, err := r.predictorClassifiers(w)
 	if err != nil {
 		return rows, err
-	}
-	pr, err := r.Profile(w) // memoized; supplies the oracle
-	if err != nil {
-		return rows, err
-	}
-	cs, err := buildClassifiers(p, pr.Oracle())
-	if err != nil {
-		return rows, err
-	}
-
-	r.logf("predictor study %s ...", w.Name)
-	m, err := vm.New(vm.Config{Program: p})
-	if err != nil {
-		return rows, err
-	}
-	limit := r.MaxInsts
-	if limit == 0 {
-		limit = vm.DefaultMaxInsts
-	}
-	m.MaxInsts = limit + 1
-	var ctx core.Context
-	for !m.Halted() && m.Seq() < limit {
-		ev, err := m.Step()
-		if err != nil {
-			return rows, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		if ev.Inst.IsMem() {
-			ctx.CID = m.Reg(isa.RA)
-			cs.classify(core.RefEvent{
-				Index: ev.Index, PC: ev.PC, Addr: ev.MemAddr,
-				Inst: ev.Inst, Ctx: ctx,
-				Actual: core.ActualOf(ev.Region),
-			})
-		}
-		if ev.Inst.IsBranch() {
-			ctx.UpdateGBH(ev.Taken)
-		}
 	}
 
 	// Figure 4.
 	rows.f4 = Figure4Row{Name: w.Name, AccuracyPct: map[string]float64{}}
-	for s, c := range cs.schemes {
-		rows.f4.AccuracyPct[s.String()] = c.Stats.Accuracy()
+	for _, s := range core.AllSchemes {
+		rows.f4.AccuracyPct[s.String()] = cs.schemes[s].Stats.Accuracy()
 	}
 	rows.f4.StaticCoveredPct = cs.schemes[core.SchemeStatic].Stats.StaticFraction()
 
@@ -250,10 +233,10 @@ func (r *Runner) predictorPass(w *workload.Workload) (predictorRows, error) {
 
 	// Figure 5.
 	rows.f5 = Figure5Row{Name: w.Name, AccuracyPct: map[int]map[HintMode]float64{}}
-	for size, byMode := range cs.sized {
+	for i, size := range Figure5Sizes {
 		rows.f5.AccuracyPct[size] = map[HintMode]float64{}
-		for mode, c := range byMode {
-			rows.f5.AccuracyPct[size][mode] = c.Stats.Accuracy()
+		for j, mode := range figure5Modes {
+			rows.f5.AccuracyPct[size][mode] = cs.sized[i][j].Stats.Accuracy()
 		}
 	}
 
@@ -261,11 +244,32 @@ func (r *Runner) predictorPass(w *workload.Workload) (predictorRows, error) {
 	rows.ab = AblationRow{
 		Name:      w.Name,
 		OneBit:    cs.schemes[core.Scheme1Bit].Stats.Accuracy(),
-		TwoBit:    cs.twoBit[core.Scheme2Bit].Stats.Accuracy(),
+		TwoBit:    cs.schemes[core.Scheme2Bit].Stats.Accuracy(),
 		OneHybrid: cs.schemes[core.Scheme1BitHybrid].Stats.Accuracy(),
-		TwoHybrid: cs.twoBit[core.Scheme2BitHybrid].Stats.Accuracy(),
+		TwoHybrid: cs.schemes[core.Scheme2BitHybrid].Stats.Accuracy(),
 	}
 	return rows, nil
+}
+
+// contextClassifiers builds the E10 cells: one 1BIT-HYBRID classifier
+// on an unlimited table per GBH × CID width pair, GBH width major.
+func contextClassifiers(gbhWidths, cidWidths []int) ([]*core.Classifier, error) {
+	var cells []*core.Classifier
+	for _, g := range gbhWidths {
+		for _, ci := range cidWidths {
+			t, err := core.NewARPT(core.Config{Bits: 1, GBHBits: g, CIDBits: ci})
+			if err != nil {
+				return nil, err
+			}
+			c, err := core.NewClassifier(
+				core.ClassifierConfig{Scheme: core.Scheme1BitHybrid}, core.WithTable(t))
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, c)
+		}
+	}
+	return cells, nil
 }
 
 // ContextSweep runs E10: hybrid-context accuracy across GBH/CID width
@@ -274,61 +278,21 @@ func (r *Runner) predictorPass(w *workload.Workload) (predictorRows, error) {
 // grouped in workload order.
 func (r *Runner) ContextSweep(gbhWidths, cidWidths []int) ([]ContextRow, error) {
 	perW, err := forEach(r, func(w *workload.Workload) ([]ContextRow, error) {
-		var rows []ContextRow
-		p, err := r.Program(w)
+		cells, err := contextClassifiers(gbhWidths, cidWidths)
 		if err != nil {
 			return nil, err
 		}
-		type cell struct {
-			gbh, cid int
-			c        *core.Classifier
-		}
-		var cells []cell
-		for _, g := range gbhWidths {
-			for _, ci := range cidWidths {
-				cfg := core.Config{Bits: 1, GBHBits: g, CIDBits: ci}
-				t, err := core.NewARPT(cfg)
-				if err != nil {
-					return nil, err
-				}
-				c, err := core.NewClassifier(
-					core.ClassifierConfig{Scheme: core.Scheme1BitHybrid}, core.WithTable(t))
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, cell{g, ci, c})
-			}
-		}
-		m, err := vm.New(vm.Config{Program: p})
-		if err != nil {
+		if err := r.classifyPass(w, cells, nil); err != nil {
 			return nil, err
 		}
-		limit := r.MaxInsts
-		if limit == 0 {
-			limit = vm.DefaultMaxInsts
-		}
-		m.MaxInsts = limit + 1
-		var ctx core.Context
-		for !m.Halted() && m.Seq() < limit {
-			ev, err := m.Step()
-			if err != nil {
-				return nil, err
+		rows := make([]ContextRow, len(cells))
+		for i, c := range cells {
+			rows[i] = ContextRow{
+				Name:        w.Name,
+				GBHBits:     gbhWidths[i/len(cidWidths)],
+				CIDBits:     cidWidths[i%len(cidWidths)],
+				AccuracyPct: c.Stats.Accuracy(),
 			}
-			if ev.Inst.IsMem() {
-				ctx.CID = m.Reg(isa.RA)
-				for _, cl := range cells {
-					cl.c.Classify(ev.Index, ev.PC, ev.Inst, ctx, core.ActualOf(ev.Region))
-				}
-			}
-			if ev.Inst.IsBranch() {
-				ctx.UpdateGBH(ev.Taken)
-			}
-		}
-		for _, cl := range cells {
-			rows = append(rows, ContextRow{
-				Name: w.Name, GBHBits: cl.gbh, CIDBits: cl.cid,
-				AccuracyPct: cl.c.Stats.Accuracy(),
-			})
 		}
 		return rows, nil
 	})

@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/isa"
+	"repro/internal/prog"
 	"repro/internal/static"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -64,65 +63,47 @@ func (r *Runner) staticHintPass(w *workload.Workload) (StaticHintRow, error) {
 	an := static.Analyze(p)
 	row.AnalyzerErrs = len(an.Errors())
 
-	oracle := pr.Oracle()
-	cls := make(map[HintMode]*core.Classifier, len(StaticHintModes))
-	for _, mode := range StaticHintModes {
-		var hints core.HintSource
-		switch mode {
-		case HintsOracle:
-			hints = oracle
-		case HintsCompiler:
-			hints = p.HintAt
-		case HintsBinary:
-			hints = an.HintAt
-		}
-		c, err := core.NewClassifier(core.ClassifierConfig{Scheme: core.Scheme1BitHybrid}, core.WithHints(hints))
-		if err != nil {
-			return row, err
-		}
-		cls[mode] = c
-	}
-
-	r.logf("static hint study %s ...", w.Name)
-	m, err := vm.New(vm.Config{Program: p})
+	cls, err := staticHintClassifiers(p, pr.Oracle(), an.HintAt)
 	if err != nil {
 		return row, err
 	}
-	limit := r.MaxInsts
-	if limit == 0 {
-		limit = vm.DefaultMaxInsts
-	}
-	m.MaxInsts = limit + 1
-	var ctx core.Context
-	for !m.Halted() && m.Seq() < limit {
-		ev, err := m.Step()
-		if err != nil {
-			return row, fmt.Errorf("%s: %w", w.Name, err)
+	r.logf("static hint study %s ...", w.Name)
+	err = r.classifyPass(w, cls, func(ev core.RefEvent) {
+		if pred, usable := core.HintPrediction(an.HintAt(ev.Index)); usable && pred != ev.Actual {
+			row.Disagreements++
 		}
-		if ev.Inst.IsMem() {
-			ctx.CID = m.Reg(isa.RA)
-			actual := core.ActualOf(ev.Region)
-			for _, c := range cls {
-				c.Classify(ev.Index, ev.PC, ev.Inst, ctx, actual)
-			}
-			if pred, usable := core.HintPrediction(an.HintAt(ev.Index)); usable && pred != actual {
-				row.Disagreements++
-			}
-		}
-		if ev.Inst.IsBranch() {
-			ctx.UpdateGBH(ev.Taken)
-		}
+	})
+	if err != nil {
+		return row, err
 	}
 
-	bin, src := cls[HintsBinary].Stats, cls[HintsCompiler].Stats
+	mode := func(m HintMode) core.ClassifyStats { return cls[slices.Index(StaticHintModes, m)].Stats }
+	bin, src := mode(HintsBinary), mode(HintsCompiler)
 	if bin.Total > 0 {
 		row.BinaryCoveredPct = 100 * float64(bin.HintCovered) / float64(bin.Total)
 		row.SourceCoveredPct = 100 * float64(src.HintCovered) / float64(src.Total)
 	}
 	row.BinaryAccPct = bin.HintAccuracy()
 	row.SourceAccPct = src.HintAccuracy()
-	for mode, c := range cls {
-		row.AccuracyPct[mode] = c.Stats.Accuracy()
+	for i, m := range StaticHintModes {
+		row.AccuracyPct[m] = cls[i].Stats.Accuracy()
 	}
 	return row, nil
+}
+
+// staticHintClassifiers builds the E14 classifiers of p, one
+// 1BIT-HYBRID classifier on an unlimited table per StaticHintModes
+// entry, in that order.
+func staticHintClassifiers(p *prog.Program, oracle, binary core.HintSource) ([]*core.Classifier, error) {
+	hints := map[HintMode]core.HintSource{HintsOracle: oracle, HintsCompiler: p.HintAt, HintsBinary: binary}
+	cls := make([]*core.Classifier, len(StaticHintModes))
+	for i, mode := range StaticHintModes {
+		c, err := core.NewClassifier(core.ClassifierConfig{Scheme: core.Scheme1BitHybrid},
+			core.WithHints(hints[mode]))
+		if err != nil {
+			return nil, err
+		}
+		cls[i] = c
+	}
+	return cls, nil
 }
