@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -40,17 +41,17 @@ func main() {
 	if err != nil {
 		c.Fatalf("%v", err)
 	}
-	if *maxInsts > 0 {
-		m.MaxInsts = *maxInsts
-	}
 	var regions [3]uint64
-	err = m.Run(func(ev vm.Event) {
+	err = m.Run(context.Background(), *maxInsts, func(ev vm.Event) {
 		if ev.Inst.IsMem() {
 			regions[ev.Region]++
 		}
 	})
 	if err != nil {
 		c.Fatalf("%v", err)
+	}
+	if !m.Halted() {
+		c.Fatalf("instruction budget exhausted after %d instructions (pc=%#08x)", m.Seq(), m.PC())
 	}
 	fmt.Printf("\n[%s: exit %d after %d instructions]\n", p.Name, m.ExitCode(), m.Seq())
 	if *verbose {

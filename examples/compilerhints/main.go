@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -77,7 +78,7 @@ func main() {
 	}
 
 	// The profile oracle (the paper's idealized compiler information).
-	pr, err := profile.Run(p, 0, nil)
+	pr, err := profile.Run(context.Background(), p, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = core.Trace(m, 0, func(ev core.RefEvent) {
+	err = core.Trace(context.Background(), m, 0, func(ev core.RefEvent) {
 		none.Classify(ev)
 		compiler.Classify(ev)
 		oracleC.Classify(ev)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -69,7 +70,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	err = core.Trace(m, 0, func(ev core.RefEvent) {
+	err = core.Trace(context.Background(), m, 0, func(ev core.RefEvent) {
 		cls.Classify(ev)
 	})
 	if err != nil {

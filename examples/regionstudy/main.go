@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pr, err := profile.Run(p, 0, nil)
+	pr, err := profile.Run(context.Background(), p, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/isa"
@@ -208,30 +209,19 @@ func NewRefEvent(ev vm.Event, ctx Context) RefEvent {
 		Static: static, Covered: covered}
 }
 
-// Trace runs machine m until it halts or has executed limit
-// instructions (0 means vm.DefaultMaxInsts), maintaining the global
-// branch history and caller identification, and invokes handle for
-// every dynamic memory reference. Several classifiers can share one
-// trace. The run is truncated at the limit, not failed: m's own
-// budget is set just past it.
-func Trace(m *vm.Machine, limit uint64, handle func(RefEvent)) error {
-	if limit == 0 {
-		limit = vm.DefaultMaxInsts
-	}
-	m.MaxInsts = limit + 1
-	var ctx Context
-	for !m.Halted() && m.Seq() < limit {
-		ev, err := m.Step()
-		if err != nil {
-			return err
-		}
+// Trace runs machine m under ctx until it halts or has executed limit
+// instructions (see vm.Machine.Run), maintaining the global branch
+// history and caller identification, and invokes handle for every
+// dynamic memory reference. Several classifiers can share one trace.
+func Trace(ctx context.Context, m *vm.Machine, limit uint64, handle func(RefEvent)) error {
+	var fetch Context
+	return m.Run(ctx, limit, func(ev vm.Event) {
 		switch ev.Inst.Classify() {
 		case isa.ClassLoad, isa.ClassStore:
-			ctx.CID = m.Reg(isa.RA)
-			handle(NewRefEvent(ev, ctx))
+			fetch.CID = m.Reg(isa.RA)
+			handle(NewRefEvent(ev, fetch))
 		case isa.ClassBranch:
-			ctx.UpdateGBH(ev.Taken)
+			fetch.UpdateGBH(ev.Taken)
 		}
-	}
-	return nil
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -273,7 +274,7 @@ int main() {
 	hybrid, _ := NewClassifier(ClassifierConfig{Scheme: Scheme1BitHybrid})
 	all := []*Classifier{static, oneBit, hybrid}
 
-	err = Trace(m, 0, func(ev RefEvent) {
+	err = Trace(context.Background(), m, 0, func(ev RefEvent) {
 		for _, c := range all {
 			c.Classify(ev)
 		}
@@ -336,7 +337,7 @@ int main() {
 }
 
 func core_trace(m *vm.Machine, c *Classifier) error {
-	return Trace(m, 0, func(ev RefEvent) {
+	return Trace(context.Background(), m, 0, func(ev RefEvent) {
 		c.Classify(ev)
 	})
 }

@@ -120,10 +120,11 @@ type TraceOptions struct {
 	// steering-policy ablations.
 	PerfectSteering bool
 
-	// Ctx cancels trace generation cooperatively: it is checked every
-	// few thousand instructions and surfaces (wrapped) through the
-	// returned error, so a per-workload watchdog deadline aborts the
-	// functional pre-pass cleanly. Nil means no cancellation.
+	// Ctx cancels trace generation cooperatively: the functional run
+	// polls it (see vm.Machine.Run) and its error surfaces wrapped
+	// through the returned error, so a per-workload watchdog deadline
+	// aborts the functional pre-pass cleanly. Nil means no
+	// cancellation.
 	Ctx context.Context
 
 	// SteerFault perturbs the steering prediction of the n-th dynamic
@@ -211,24 +212,10 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	limit := opts.MaxInsts
-	if limit == 0 {
-		limit = vm.DefaultMaxInsts
-	}
-	m.MaxInsts = limit + 1 // the loop below truncates before the VM faults
-	if opts.Ctx != nil || opts.VMFault != nil {
-		ctx, vmFault := opts.Ctx, opts.VMFault
-		m.FaultHook = func(seq uint64, pc uint32) error {
-			if ctx != nil && seq&0x3FF == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if vmFault != nil {
-				return vmFault(seq, pc)
-			}
-			return nil
-		}
+	m.FaultHook = opts.VMFault
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	cls := opts.Classifier
 	if cls == nil {
@@ -249,7 +236,7 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 		tr.Insts = make([]TraceInst, 0, min(opts.MaxInsts, maxTraceReserve))
 	}
 	var vp valuePredictor
-	var ctx core.Context
+	var fetch core.Context
 	var memRef uint64 // dynamic memory-reference ordinal for SteerFault
 
 	observe := func(ev vm.Event) {
@@ -260,19 +247,24 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 			Src1:  noReg, Src2: noReg, Dest: noReg,
 		}
 
-		srcs := make([]int8, 0, 4)
-		for _, r := range in.Sources() {
+		var srcs [4]int8
+		n := 0
+		regs, nregs := in.Sources()
+		for _, r := range regs[:nregs] {
 			if d := depReg(r, false); d != noReg {
-				srcs = append(srcs, d)
+				srcs[n] = d
+				n++
 			}
 		}
-		for _, r := range in.FPSources() {
-			srcs = append(srcs, depReg(r, true))
+		regs, nregs = in.FPSources()
+		for _, r := range regs[:nregs] {
+			srcs[n] = depReg(r, true)
+			n++
 		}
-		if len(srcs) > 0 {
+		if n > 0 {
 			ti.Src1 = srcs[0]
 		}
-		if len(srcs) > 1 {
+		if n > 1 {
 			ti.Src2 = srcs[1]
 		}
 		if d, ok := in.Dest(); ok {
@@ -290,8 +282,8 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 				ti.Flags |= FlagFPMem
 			}
 			ti.Addr = ev.MemAddr
-			ctx.CID = m.Reg(isa.RA)
-			ref := core.NewRefEvent(ev, ctx)
+			fetch.CID = m.Reg(isa.RA)
+			ref := core.NewRefEvent(ev, fetch)
 			if ref.Covered {
 				// $sp/$fp/$gp/constant addressing: the effective address
 				// is computable at dispatch in any machine (the base
@@ -319,7 +311,7 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 			}
 		}
 		if in.IsBranch() {
-			ctx.UpdateGBH(ev.Taken)
+			fetch.UpdateGBH(ev.Taken)
 		}
 
 		if !opts.DisableValuePred && ti.Dest != noReg && ti.Dest < 32 {
@@ -331,16 +323,12 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 		}
 
 		tr.Insts = append(tr.Insts, ti)
-	}
-	for !m.Halted() && m.Seq() < limit {
-		ev, err := m.Step()
-		if err != nil {
-			return nil, fmt.Errorf("cpu: trace generation: %w", err)
-		}
-		observe(ev)
 		if opts.Observer != nil {
 			opts.Observer(ev)
 		}
+	}
+	if err := m.Run(ctx, opts.MaxInsts, observe); err != nil {
+		return nil, fmt.Errorf("cpu: trace generation: %w", err)
 	}
 	tr.PredictorStats = cls.Stats
 	if opts.Final != nil {

@@ -1,6 +1,7 @@
 package decouple
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/minicc"
@@ -44,7 +45,7 @@ func TestClassifierConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := profile.Run(p, 0, nil)
+	pr, err := profile.Run(context.Background(), p, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,14 +161,55 @@ func TestBatchAbortsWithoutDegrade(t *testing.T) {
 	}
 }
 
+// TestRunnerCtxCancelsSimulation cancels the campaign context after
+// the shared artifacts are memoized, so each study's own pass is what
+// must notice. E8 is answered by the profile pass, so its case leaves
+// the profile to be computed under the cancelled context.
 func TestRunnerCtxCancelsSimulation(t *testing.T) {
-	r := quickRunner(t, "li")
-	r.MaxInsts = 40_000
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r.Ctx = ctx
-	_, err := r.SimulateConfig(r.Workloads[0], cpu.Conventional(2, 2))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, tc := range []struct {
+		name        string
+		keepProfile bool
+		run         func(r *Runner) error
+	}{
+		{"SimulateConfig", true, func(r *Runner) error {
+			_, err := r.SimulateConfig(r.Workloads[0], cpu.Conventional(2, 2))
+			return err
+		}},
+		{"RunPredictorStudy", true, func(r *Runner) error {
+			_, err := r.RunPredictorStudy()
+			return err
+		}},
+		{"ContextSweep", true, func(r *Runner) error {
+			_, err := r.ContextSweep([]int{0, 8}, []int{0, 8})
+			return err
+		}},
+		{"StaticHintStudy", true, func(r *Runner) error {
+			_, err := r.StaticHintStudy()
+			return err
+		}},
+		{"LVCHitRate", false, func(r *Runner) error {
+			_, err := r.LVCHitRate()
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := quickRunner(t, "li")
+			r.MaxInsts = 40_000
+			w := r.Workloads[0]
+			if _, err := r.Program(w); err != nil {
+				t.Fatal(err)
+			}
+			if tc.keepProfile {
+				if _, err := r.Profile(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			r.Ctx = ctx
+			if err := tc.run(r); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		})
 	}
 }

@@ -146,7 +146,7 @@ func (r *Runner) classifyPass(w *workload.Workload, bank []*core.Classifier, onR
 	if err != nil {
 		return err
 	}
-	err = core.Trace(m, r.MaxInsts, func(ev core.RefEvent) {
+	err = core.Trace(r.ctx(), m, r.MaxInsts, func(ev core.RefEvent) {
 		for _, c := range bank {
 			c.Classify(ev)
 		}

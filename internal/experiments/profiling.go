@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"repro/internal/cache"
 	"repro/internal/region"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -147,37 +145,14 @@ type LVCRow struct {
 	HitRate   float64
 }
 
-// LVCHitRate runs E8 by replaying each program and feeding its stack
-// references into a fresh LVC model.
+// LVCHitRate runs E8: each program's stack references through a fresh
+// LVC, as counted by its profile pass.
 func (r *Runner) LVCHitRate() ([]LVCRow, error) {
 	return forEach(r, func(w *workload.Workload) (LVCRow, error) {
-		p, err := r.Program(w)
+		pr, err := r.Profile(w)
 		if err != nil {
 			return LVCRow{}, err
 		}
-		m, err := vm.New(vm.Config{Program: p})
-		if err != nil {
-			return LVCRow{}, err
-		}
-		limit := r.MaxInsts
-		if limit == 0 {
-			limit = vm.DefaultMaxInsts
-		}
-		m.MaxInsts = limit + 1
-		lvc, err := cache.New(cache.LVCConfig(1))
-		if err != nil {
-			return LVCRow{}, err
-		}
-		for !m.Halted() && m.Seq() < limit {
-			ev, err := m.Step()
-			if err != nil {
-				return LVCRow{}, err
-			}
-			if ev.Inst.IsMem() && ev.Region == region.Stack {
-				lvc.Access(ev.MemAddr, ev.Inst.IsStore())
-			}
-		}
-		st := lvc.Stats()
-		return LVCRow{Name: w.Name, StackRefs: st.Accesses, HitRate: st.HitRate()}, nil
+		return LVCRow{Name: w.Name, StackRefs: pr.LVC.Accesses, HitRate: pr.LVC.HitRate()}, nil
 	})
 }

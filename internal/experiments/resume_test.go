@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -350,13 +351,24 @@ func TestBreakerDegradesWorkload(t *testing.T) {
 
 // TestStoreWriteThroughAndReload checks the plain (non-crash) store
 // path: a second runner over the same store resumes every stage
-// without recomputing, and its results agree exactly.
+// without recomputing, and its results agree exactly. E8 is answered
+// by the stored profiles, so their LVC statistics must survive the
+// round trip.
 func TestStoreWriteThroughAndReload(t *testing.T) {
 	dir := t.TempDir()
 	first := resumeRunner(t, dir, false)
 	refReport, err := resumeCampaign(first)
 	if err != nil {
 		t.Fatal(err)
+	}
+	refLVC, err := first.LVCHitRate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range refLVC {
+		if row.StackRefs == 0 {
+			t.Fatalf("%s: no stack references", row.Name)
+		}
 	}
 	if w := first.Store.Stats().Writes; w == 0 {
 		t.Fatal("write-through produced no store records")
@@ -380,9 +392,20 @@ func TestStoreWriteThroughAndReload(t *testing.T) {
 	if gotReport != refReport {
 		t.Fatalf("reloaded report differs:\n%s\nvs\n%s", refReport, gotReport)
 	}
+	gotLVC, err := second.LVCHitRate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotLVC, refLVC) {
+		t.Fatalf("reloaded LVC rows %+v, want %+v", gotLVC, refLVC)
+	}
 	st := second.Store.Stats()
 	if st.Hits == 0 {
 		t.Fatalf("second run had no store hits: %+v", st)
+	}
+	// A recomputed stage writes its record back; none may have run.
+	if st.Writes != 0 {
+		t.Fatalf("resumed run recomputed %d artifacts: %+v", st.Writes, st)
 	}
 	// The resumed run must not have rebuilt a trace or rerun a
 	// simulation, E12's policy traces and E15's storms included.

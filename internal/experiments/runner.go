@@ -290,8 +290,9 @@ func (r *Runner) ctx() context.Context {
 }
 
 // watched reports whether cooperative cancellation is worth installing
-// in functional runs and simulations: there is a campaign context, a
-// per-stage watchdog, or a per-attempt deadline that could fire.
+// in simulations: there is a campaign context, a per-stage watchdog, or
+// a per-attempt deadline that could fire. Functional runs need no such
+// guard: vm.Machine.Run polls only a context that can be cancelled.
 func (r *Runner) watched() bool {
 	return r.Ctx != nil || r.WorkloadTimeout > 0 || r.Retry.AttemptTimeout > 0
 }
@@ -350,7 +351,10 @@ func (r *Runner) stage(wl, stage string, fn func(ctx context.Context) error) err
 // v3: simulations over a tagged trace (arpt=N, policy=..., storm=...)
 // publish their metrics with a trace label — v2 fragments of ARPT
 // variants would replay without it.
-const storeVersion = "arl/v3"
+//
+// v4: profiles carry the LVC statistics E8 reads — a v3 profile would
+// decode with a zero LVC.
+const storeVersion = "arl/v4"
 
 // storeKey builds the canonical store key for one artifact of this
 // runner's campaign (its scale and instruction budget are part of the
@@ -477,7 +481,8 @@ func (r *Runner) Program(w *workload.Workload) (*prog.Program, error) {
 }
 
 // Profile runs (and memoizes) the region profile of one workload. The
-// profile backs Table 1, Figure 2, Table 2 and the §3.5.2 oracle hints.
+// profile backs Table 1, Figure 2, Table 2, the LVC hit rates of E8 and
+// the §3.5.2 oracle hints.
 func (r *Runner) Profile(w *workload.Workload) (*profile.Profile, error) {
 	return r.profiles.get(w.Name, func() (*profile.Profile, error) {
 		key := r.storeKey("profile", w.Name, "")
@@ -493,7 +498,7 @@ func (r *Runner) Profile(w *workload.Workload) (*profile.Profile, error) {
 		var pr *profile.Profile
 		err = r.stage(w.Name, "profile", func(ctx context.Context) error {
 			var err error
-			pr, err = profile.RunContext(ctx, p, r.MaxInsts, nil)
+			pr, err = profile.Run(ctx, p, r.MaxInsts, nil)
 			return err
 		})
 		if err != nil {
@@ -599,10 +604,7 @@ func (r *Runner) trace(w *workload.Workload, tag string,
 					return err
 				}
 			}
-			opts.MaxInsts = r.MaxInsts
-			if r.watched() {
-				opts.Ctx = ctx
-			}
+			opts.MaxInsts, opts.Ctx = r.MaxInsts, ctx
 			start := time.Now() //arlvet:allow wallclock RunStats measures harness cost; wall time never reaches simulation results
 			var err error
 			tr, err = cpu.BuildTrace(p, opts)

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -14,8 +15,8 @@ import (
 
 // Golden is the reference outcome of one unfaulted functional run: the
 // architectural digest every faulted run is compared against, plus the
-// run's shape for fault placement. It is computed by a plain VM step
-// loop — no timing-model code touches the architectural state it
+// run's shape for fault placement. It is computed by a plain VM run —
+// no timing-model code touches the architectural state it
 // records, which is what makes the comparison a genuine differential.
 type Golden struct {
 	Digest ArchDigest
@@ -30,17 +31,8 @@ func GoldenRun(p *prog.Program, maxInsts uint64) (*Golden, error) {
 	if err != nil {
 		return nil, err
 	}
-	limit := maxInsts
-	if limit == 0 {
-		limit = vm.DefaultMaxInsts
-	}
-	m.MaxInsts = limit + 1
-	for !m.Halted() && m.Seq() < limit {
-		ev, err := m.Step()
-		if err != nil {
-			return nil, fmt.Errorf("faultinject: golden run: %w", err)
-		}
-		d.observe(ev)
+	if err := m.Run(context.TODO(), maxInsts, d.observe); err != nil {
+		return nil, fmt.Errorf("faultinject: golden run: %w", err)
 	}
 	return &Golden{
 		Digest: d.final(m),

@@ -364,59 +364,50 @@ func (i Inst) MemSize() int {
 	return 0
 }
 
-// Sources returns the integer registers the instruction reads. FP
-// register reads are reported by FPSources.
-func (i Inst) Sources() []Register {
+// Sources returns the integer registers the instruction reads, as the
+// first n entries of regs. FP register reads are reported by
+// FPSources.
+func (i Inst) Sources() (regs [2]Register, n int) {
 	switch i.Op {
-	case OpNop, OpJ, OpJAL, OpLUI:
-		return nil
 	case OpReg:
-		return []Register{i.Rs, i.Rt}
+		return [2]Register{i.Rs, i.Rt}, 2
 	case OpFP:
 		switch i.Funct {
 		case FnCVTSW, FnMTC1:
-			return []Register{i.Rs}
-		default:
-			return nil
+			return [2]Register{i.Rs}, 1
 		}
-	case OpLB, OpLBU, OpLH, OpLHU, OpLW, OpLWC1:
-		return []Register{i.Rs}
-	case OpSB, OpSH, OpSW:
-		return []Register{i.Rs, i.Rd}
-	case OpSWC1:
-		return []Register{i.Rs}
-	case OpADDI, OpANDI, OpORI, OpXORI, OpSLTI, OpSLLI, OpSRLI, OpSRAI:
-		return []Register{i.Rs}
-	case OpBEQ, OpBNE:
-		// I-format: the second comparison operand is carried in Rd.
-		return []Register{i.Rs, i.Rd}
-	case OpBLEZ, OpBGTZ, OpBLTZ, OpBGEZ:
-		return []Register{i.Rs}
-	case OpJR, OpJALR:
-		return []Register{i.Rs}
+	case OpLB, OpLBU, OpLH, OpLHU, OpLW, OpLWC1, OpSWC1,
+		OpADDI, OpANDI, OpORI, OpXORI, OpSLTI, OpSLLI, OpSRLI, OpSRAI,
+		OpBLEZ, OpBGTZ, OpBLTZ, OpBGEZ, OpJR, OpJALR:
+		return [2]Register{i.Rs}, 1
+	case OpSB, OpSH, OpSW, OpBEQ, OpBNE:
+		// Stores read their data, and I-format branches their second
+		// comparison operand, from Rd.
+		return [2]Register{i.Rs, i.Rd}, 2
 	case OpSYSCALL:
 		// By convention syscalls read $v0 and $a0.
-		return []Register{V0, A0}
+		return [2]Register{V0, A0}, 2
 	}
-	return nil
+	return regs, 0
 }
 
-// FPSources returns the floating-point registers the instruction reads.
-func (i Inst) FPSources() []Register {
+// FPSources returns the floating-point registers the instruction reads,
+// as the first n entries of regs.
+func (i Inst) FPSources() (regs [2]Register, n int) {
 	switch i.Op {
 	case OpFP:
 		switch i.Funct {
 		case FnFNEG, FnFABS, FnFSQRT, FnCVTWS, FnMFC1:
-			return []Register{i.Rs}
+			return [2]Register{i.Rs}, 1
 		case FnCVTSW, FnMTC1:
-			return nil
+			return regs, 0
 		default:
-			return []Register{i.Rs, i.Rt}
+			return [2]Register{i.Rs, i.Rt}, 2
 		}
 	case OpSWC1:
-		return []Register{i.Rd}
+		return [2]Register{i.Rd}, 1
 	}
-	return nil
+	return regs, 0
 }
 
 // Dest returns the integer destination register, or ok=false when the

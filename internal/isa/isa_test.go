@@ -91,9 +91,8 @@ func TestMemIntrospection(t *testing.T) {
 func TestSourcesAndDests(t *testing.T) {
 	// sw $t1, 8($sp): reads sp (base) and t1 (data), writes nothing.
 	sw := Inst{Op: OpSW, Rd: T1, Rs: SP, Imm: 8}
-	srcs := sw.Sources()
-	if len(srcs) != 2 || srcs[0] != SP || srcs[1] != T1 {
-		t.Errorf("sw sources = %v", srcs)
+	if srcs, n := sw.Sources(); n != 2 || srcs[0] != SP || srcs[1] != T1 {
+		t.Errorf("sw sources = %v", srcs[:n])
 	}
 	if _, ok := sw.Dest(); ok {
 		t.Error("sw has a dest")
@@ -109,8 +108,8 @@ func TestSourcesAndDests(t *testing.T) {
 	}
 	// s.s reads the FP data register.
 	ss := Inst{Op: OpSWC1, Rd: 5, Rs: SP}
-	if fs := ss.FPSources(); len(fs) != 1 || fs[0] != 5 {
-		t.Errorf("s.s fp sources = %v", fs)
+	if fs, n := ss.FPSources(); n != 1 || fs[0] != 5 {
+		t.Errorf("s.s fp sources = %v", fs[:n])
 	}
 	// add.s writes an FP register.
 	adds := Inst{Op: OpFP, Funct: FnFADD, Rd: 2, Rs: 0, Rt: 1}
@@ -125,8 +124,8 @@ func TestSourcesAndDests(t *testing.T) {
 	if d, ok := clt.Dest(); !ok || d != T0 {
 		t.Error("c.lt.s int dest")
 	}
-	if fs := clt.FPSources(); len(fs) != 2 {
-		t.Errorf("c.lt.s fp sources = %v", fs)
+	if fs, n := clt.FPSources(); n != 2 {
+		t.Errorf("c.lt.s fp sources = %v", fs[:n])
 	}
 }
 

@@ -2,6 +2,7 @@ package minicc
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -21,10 +22,9 @@ func compileRun(t *testing.T, src string) (int, string) {
 	if err != nil {
 		t.Fatalf("vm.New: %v", err)
 	}
-	m.MaxInsts = 50_000_000
-	if err := m.Run(nil); err != nil {
+	if err := m.Run(context.Background(), 50_000_000, nil); err != nil || !m.Halted() {
 		asmText, _ := CompileToAsm("test.c", src)
-		t.Fatalf("run: %v\nassembly:\n%s", err, asmText)
+		t.Fatalf("run: %v (halted %v)\nassembly:\n%s", err, m.Halted(), asmText)
 	}
 	return m.ExitCode(), out.String()
 }
@@ -260,7 +260,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(nil); err != nil {
+	if err := m.Run(context.Background(), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.ExitCode() != 11 {

@@ -2,8 +2,10 @@
 // executes a program on the functional simulator and collects, per
 // static memory instruction, the set of regions it accesses (Figure 2),
 // per-benchmark dynamic instruction mixes (Table 1), sliding-window
-// per-region access distributions (Table 2), and the profile oracle the
-// paper used as its upper-bound "compiler information" (§3.5.2).
+// per-region access distributions (Table 2), the hit rate of the stack
+// reference stream in the Local Variable Cache (§3.3), and the profile
+// oracle the paper used as its upper-bound "compiler information"
+// (§3.5.2).
 package profile
 
 import (
@@ -11,6 +13,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/cache"
 	"repro/internal/prog"
 	"repro/internal/region"
 	"repro/internal/stats"
@@ -63,35 +66,24 @@ type Profile struct {
 
 	// Windows holds one WindowStat per entry in WindowSizes.
 	Windows []WindowStat
+
+	// LVC counts the stack references through a 4 KB direct-mapped
+	// Local Variable Cache (cache.LVCConfig).
+	LVC cache.Stats
 }
 
-// Run profiles program p. maxInsts bounds execution (0 uses the VM
-// default); out receives program output (nil discards it).
-func Run(p *prog.Program, maxInsts uint64, out io.Writer) (*Profile, error) {
-	return RunContext(context.Background(), p, maxInsts, out)
-}
-
-// RunContext is Run under a context: cancellation (or a watchdog
-// deadline) is checked every few thousand instructions and surfaces
-// as a vm.FaultError wrapping the context's error, so a hung or
-// oversized workload aborts cleanly instead of pinning the process.
-func RunContext(ctx context.Context, p *prog.Program, maxInsts uint64, out io.Writer) (*Profile, error) {
+// Run profiles program p, truncated at maxInsts instructions (0 uses
+// the VM default); out receives program output (nil discards it).
+// Cancelling ctx (or its watchdog deadline) aborts the run with a
+// vm.FaultError wrapping the context's error.
+func Run(ctx context.Context, p *prog.Program, maxInsts uint64, out io.Writer) (*Profile, error) {
 	m, err := vm.New(vm.Config{Program: p, Out: out})
 	if err != nil {
 		return nil, err
 	}
-	limit := maxInsts
-	if limit == 0 {
-		limit = vm.DefaultMaxInsts
-	}
-	m.MaxInsts = limit + 1 // the loop below truncates before the VM faults
-	if ctx != nil && ctx != context.Background() {
-		m.FaultHook = func(seq uint64, _ uint32) error {
-			if seq&0x3FF == 0 {
-				return ctx.Err()
-			}
-			return nil
-		}
+	lvc, err := cache.New(cache.LVCConfig(1))
+	if err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
 	}
 
 	pr := &Profile{
@@ -129,6 +121,9 @@ func RunContext(ctx context.Context, p *prog.Program, maxInsts uint64, out io.Wr
 			ip.Regions = ip.Regions.Add(ev.Region)
 			ip.Count++
 			pr.RegionRefs[ev.Region]++
+			if ev.Region == region.Stack {
+				lvc.Access(ev.MemAddr, ev.Inst.IsStore())
+			}
 		}
 		for ti := range tracks {
 			tr := &tracks[ti]
@@ -141,14 +136,11 @@ func RunContext(ctx context.Context, p *prog.Program, maxInsts uint64, out io.Wr
 			}
 		}
 	}
-	for !m.Halted() && m.Seq() < limit {
-		ev, err := m.Step()
-		if err != nil {
-			return nil, fmt.Errorf("profile: %w", err)
-		}
-		observe(ev)
+	if err := m.Run(ctx, maxInsts, observe); err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
 	}
 	pr.ExitCode = m.ExitCode()
+	pr.LVC = lvc.Stats()
 	return pr, nil
 }
 

@@ -1,11 +1,13 @@
 package profile
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/minicc"
 	"repro/internal/prog"
 	"repro/internal/region"
+	"repro/internal/workload"
 )
 
 func run(t *testing.T, src string, max uint64) *Profile {
@@ -14,7 +16,7 @@ func run(t *testing.T, src string, max uint64) *Profile {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	pr, err := Run(p, max, nil)
+	pr, err := Run(context.Background(), p, max, nil)
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
@@ -55,6 +57,10 @@ func TestCountsAndRegions(t *testing.T) {
 	}
 	if pr.LoadPct() <= 0 || pr.StorePct() <= 0 || pr.LoadPct()+pr.StorePct() >= 100 {
 		t.Errorf("percentages: %f / %f", pr.LoadPct(), pr.StorePct())
+	}
+	// Every stack reference, and only those, goes through the LVC.
+	if lvc := pr.LVC; lvc.Accesses != pr.RegionRefs[region.Stack] || lvc.Hits+lvc.Misses != lvc.Accesses {
+		t.Errorf("LVC %+v for %d stack references", lvc, pr.RegionRefs[region.Stack])
 	}
 }
 
@@ -173,5 +179,21 @@ func TestBurstinessPredicate(t *testing.T) {
 	}
 	if w.StrictlyBursty(region.Data) {
 		t.Error("constant distribution reported bursty")
+	}
+}
+
+// BenchmarkProfile is the profile pass of one workload: Table 1,
+// Figure 2, Table 2 and the LVC stack stream in one functional run.
+func BenchmarkProfile(b *testing.B) {
+	w, _ := workload.ByName("130.li")
+	p, err := w.Compile(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(context.Background(), p, 100_000, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,9 +10,8 @@ import (
 	"repro/internal/asm"
 )
 
-// faultyRun assembles src, runs it to completion or fault, and returns
-// the terminal error (nil if the program halted cleanly).
-func faultyRun(t *testing.T, src string, setup func(*Machine)) error {
+// load assembles src into a fresh machine.
+func load(t *testing.T, src string) *Machine {
 	t.Helper()
 	p, err := asm.Assemble("t.s", src)
 	if err != nil {
@@ -21,10 +21,18 @@ func faultyRun(t *testing.T, src string, setup func(*Machine)) error {
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
-	if setup != nil {
-		setup(m)
+	return m
+}
+
+// stepAll drives m through Step until it halts or faults, so Step's
+// MaxInsts watchdog is the only bound.
+func stepAll(m *Machine) error {
+	for !m.Halted() {
+		if _, err := m.Step(); err != nil {
+			return err
+		}
 	}
-	return m.Run(nil)
+	return nil
 }
 
 const loopForever = `
@@ -36,7 +44,9 @@ loop:
 `
 
 func TestMaxInstsWatchdog(t *testing.T) {
-	err := faultyRun(t, loopForever, func(m *Machine) { m.MaxInsts = 1000 })
+	m := load(t, loopForever)
+	m.MaxInsts = 1000
+	err := stepAll(m)
 	if err == nil {
 		t.Fatal("runaway loop did not trip the watchdog")
 	}
@@ -55,15 +65,15 @@ func TestMaxInstsWatchdog(t *testing.T) {
 func TestFaultHookAbortsWithContext(t *testing.T) {
 	sentinel := errors.New("planted fault")
 	var hookPC uint32
-	err := faultyRun(t, loopForever, func(m *Machine) {
-		m.FaultHook = func(seq uint64, pc uint32) error {
-			if seq == 37 {
-				hookPC = pc
-				return fmt.Errorf("wrapped: %w", sentinel)
-			}
-			return nil
+	m := load(t, loopForever)
+	m.FaultHook = func(seq uint64, pc uint32) error {
+		if seq == 37 {
+			hookPC = pc
+			return fmt.Errorf("wrapped: %w", sentinel)
 		}
-	})
+		return nil
+	}
+	err := m.Run(context.Background(), 0, nil)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("errors.Is(err, sentinel) = false for %v", err)
 	}
@@ -94,12 +104,52 @@ func TestFaultErrorMessageHasContext(t *testing.T) {
 
 func TestCleanRunAfterWatchdogHeadroom(t *testing.T) {
 	// The watchdog must not fire when the budget covers the program.
-	err := faultyRun(t, `
+	m := load(t, `
 main:
 	li $v0, 7
 	jr $ra
-`, func(m *Machine) { m.MaxInsts = 100 })
-	if err != nil {
+`)
+	m.MaxInsts = 100
+	if err := stepAll(m); err != nil {
 		t.Fatalf("bounded clean run faulted: %v", err)
+	}
+}
+
+func TestRunCancelledContext(t *testing.T) {
+	m := load(t, loopForever)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := m.Run(ctx, 0, func(Event) { t.Fatal("a cancelled run retired an instruction") })
+	var fe *FaultError
+	if !errors.As(err, &fe) {
+		t.Fatalf("errors.As(*FaultError) = false for %v", err)
+	}
+	if fe.Seq != 0 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v at seq %d, want context.Canceled at seq 0", err, fe.Seq)
+	}
+}
+
+func TestRunPollingKeepsFaultHook(t *testing.T) {
+	// A cancellable context adds Run's poll; the hook must still see
+	// every instruction, in order.
+	const n = 3000
+	m := load(t, loopForever)
+	var seen []uint64
+	m.FaultHook = func(seq uint64, _ uint32) error {
+		seen = append(seen, seq)
+		return nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := m.Run(ctx, n, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != n {
+		t.Fatalf("hook saw %d instructions, want %d", len(seen), n)
+	}
+	for i, seq := range seen {
+		if seq != uint64(i) {
+			t.Fatalf("hook call %d saw seq %d", i, seq)
+		}
 	}
 }

@@ -7,6 +7,7 @@
 package vm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -63,7 +64,7 @@ func (e *FaultError) Error() string {
 func (e *FaultError) Unwrap() error { return e.Err }
 
 // Machine is a functional RISA machine. Create one with New, then call
-// Step until the returned event has Done set (or use Run).
+// Run (or Step until the returned event has Done set).
 type Machine struct {
 	Prog   *prog.Program
 	Mem    *mem.Memory
@@ -78,7 +79,8 @@ type Machine struct {
 	exit   int
 	out    io.Writer
 
-	// MaxInsts bounds execution; Step returns an error past it.
+	// MaxInsts is Step's watchdog: Step returns an error past it. Run
+	// bounds a run by its own limit instead.
 	MaxInsts uint64
 
 	// FaultHook, when non-nil, is consulted before every instruction
@@ -86,7 +88,7 @@ type Machine struct {
 	// non-nil return aborts the step with a FaultError wrapping the
 	// returned error. This is the library's deterministic injection
 	// point: the fault-injection engine plants architectural memory
-	// faults here, and watchdogs plant context-cancellation checks.
+	// faults here.
 	FaultHook func(seq uint64, pc uint32) error
 }
 
@@ -103,8 +105,6 @@ type Config struct {
 	Program *prog.Program
 	// Out receives print-syscall output; nil drops it.
 	Out io.Writer
-	// MaxInsts bounds execution; 0 selects DefaultMaxInsts.
-	MaxInsts uint64
 }
 
 // Validate checks the configuration, including the program itself.
@@ -115,16 +115,8 @@ func (c Config) Validate() error {
 	return c.Program.Validate()
 }
 
-// Option configures a Machine beyond its Config.
-type Option func(*Machine)
-
-// WithFaultHook installs the pre-instruction hook (see Machine.FaultHook).
-func WithFaultHook(hook func(seq uint64, pc uint32) error) Option {
-	return func(m *Machine) { m.FaultHook = hook }
-}
-
 // New loads cfg.Program into a fresh machine.
-func New(cfg Config, opts ...Option) (*Machine, error) {
+func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -133,13 +125,10 @@ func New(cfg Config, opts ...Option) (*Machine, error) {
 		Prog:     p,
 		Mem:      mem.New(),
 		out:      cfg.Out,
-		MaxInsts: cfg.MaxInsts,
+		MaxInsts: DefaultMaxInsts,
 	}
 	if m.out == nil {
 		m.out = io.Discard
-	}
-	if m.MaxInsts == 0 {
-		m.MaxInsts = DefaultMaxInsts
 	}
 	layout, err := p.LoadInto(m.Mem)
 	if err != nil {
@@ -151,9 +140,6 @@ func New(cfg Config, opts ...Option) (*Machine, error) {
 	m.regs[isa.SP] = prog.StackTop - 16
 	m.regs[isa.FP] = prog.StackTop - 16
 	m.regs[isa.RA] = HaltPC
-	for _, opt := range opts {
-		opt(m)
-	}
 	return m, nil
 }
 
@@ -188,7 +174,8 @@ func (m *Machine) fault(err error) (Event, error) {
 	return Event{}, &FaultError{PC: m.pc, Seq: m.seq, Err: err}
 }
 
-// Step executes one instruction and reports what happened.
+// Step executes one instruction and reports what happened. It faults
+// with ErrMaxInsts once MaxInsts instructions have retired.
 func (m *Machine) Step() (Event, error) {
 	if m.halted {
 		return Event{Done: true, Exit: m.exit, Seq: m.seq, PC: m.pc}, nil
@@ -196,6 +183,11 @@ func (m *Machine) Step() (Event, error) {
 	if m.seq >= m.MaxInsts {
 		return m.fault(fmt.Errorf("%w (budget %d)", ErrMaxInsts, m.MaxInsts))
 	}
+	return m.step()
+}
+
+// step executes one instruction of a running machine.
+func (m *Machine) step() (Event, error) {
 	if m.FaultHook != nil {
 		if err := m.FaultHook(m.seq, m.pc); err != nil {
 			return m.fault(err)
@@ -496,11 +488,24 @@ func (m *Machine) syscall() (done bool, err error) {
 	return false, nil
 }
 
-// Run steps the machine to completion (or error), invoking observe for
-// every retired instruction when observe is non-nil.
-func (m *Machine) Run(observe func(Event)) error {
-	for !m.halted {
-		ev, err := m.Step()
+// Run steps the machine until it halts, faults, or has retired limit
+// instructions (0 means DefaultMaxInsts), invoking observe, when
+// non-nil, for every retired instruction. Reaching the limit truncates
+// the run without an error, leaving Halted false. Every 1024
+// instructions Run polls ctx, unless ctx can never be cancelled; a
+// cancelled run returns a FaultError wrapping ctx.Err().
+func (m *Machine) Run(ctx context.Context, limit uint64, observe func(Event)) error {
+	if limit == 0 {
+		limit = DefaultMaxInsts
+	}
+	done := ctx.Done()
+	for !m.halted && m.seq < limit {
+		if done != nil && m.seq&0x3FF == 0 {
+			if err := ctx.Err(); err != nil {
+				return &FaultError{PC: m.pc, Seq: m.seq, Err: err}
+			}
+		}
+		ev, err := m.step()
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func run(t *testing.T, src string) (*Machine, string) {
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
-	if err := m.Run(nil); err != nil {
+	if err := m.Run(context.Background(), 0, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return m, out.String()
@@ -225,7 +226,7 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = m.Run(nil)
+	err = m.Run(context.Background(), 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "sbrk") {
 		t.Errorf("want sbrk fault, got %v", err)
 	}
@@ -245,7 +246,7 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = m.Run(nil)
+	err = m.Run(context.Background(), 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "divide by zero") {
 		t.Errorf("want div fault, got %v", err)
 	}
@@ -321,7 +322,7 @@ main:
 		t.Fatal(err)
 	}
 	var regions []region.Region
-	if err := m.Run(func(ev Event) {
+	if err := m.Run(context.Background(), 0, func(ev Event) {
 		if ev.Inst.IsMem() {
 			regions = append(regions, ev.Region)
 		}
@@ -349,7 +350,7 @@ func TestEventSequenceNumbers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seqs []uint64
-	if err := m.Run(func(ev Event) { seqs = append(seqs, ev.Seq) }); err != nil {
+	if err := m.Run(context.Background(), 0, func(ev Event) { seqs = append(seqs, ev.Seq) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(seqs) != 3 {
@@ -374,10 +375,12 @@ func TestInstructionBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.MaxInsts = 100
-	err = m.Run(nil)
-	if err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Errorf("want budget fault, got %v", err)
+	// Run truncates at its limit without an error.
+	if err := m.Run(context.Background(), 100, nil); err != nil {
+		t.Fatalf("truncated run: %v", err)
+	}
+	if m.Seq() != 100 || m.Halted() {
+		t.Errorf("after the limit: Seq() = %d, Halted() = %v; want 100, false", m.Seq(), m.Halted())
 	}
 }
 

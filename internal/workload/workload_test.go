@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/profile"
@@ -79,11 +80,11 @@ func TestRunDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := profile.Run(p, 0, nil)
+			a, err := profile.Run(context.Background(), p, 0, nil)
 			if err != nil {
 				t.Fatalf("run 1: %v", err)
 			}
-			b, err := profile.Run(p, 0, nil)
+			b, err := profile.Run(context.Background(), p, 0, nil)
 			if err != nil {
 				t.Fatalf("run 2: %v", err)
 			}
@@ -113,7 +114,7 @@ func TestRegionSignatures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := profile.Run(p, 0, nil)
+		pr, err := profile.Run(context.Background(), p, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
