@@ -45,7 +45,8 @@ func main() {
 		"coordinator base URL to pull leased units from")
 	id := flag.String("id", "", "worker identity reported in lease requests (default: host-pid)")
 	renew := flag.Duration("renew", fleet.DefaultRenewEvery, "lease heartbeat period")
-	poll := flag.Duration("poll", fleet.DefaultPoll, "idle poll period when the queue is empty")
+	poll := flag.Duration("poll", fleet.DefaultPoll,
+		"how long one lease request waits on the coordinator's empty queue (capped there at 30s), and the back-off after a failed request")
 	httpTimeout := flag.Duration("http-timeout", 15*time.Second,
 		"per-request timeout for coordinator calls")
 	c.RunnerFlags()

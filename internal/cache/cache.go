@@ -86,11 +86,14 @@ type line struct {
 	used  uint64 // LRU timestamp
 }
 
-// Cache is one cache instance.
+// Cache is one cache instance. Its lines live in one slice, set s
+// occupying lines[s*assoc : (s+1)*assoc] in way order.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
-	setShift uint
+	lines    []line
+	assoc    uint32
+	setShift uint // log2 of the line size
+	tagShift uint // setShift plus log2 of the set count
 	setMask  uint32
 	clock    uint64
 	stats    Stats
@@ -102,14 +105,21 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.SizeBytes / cfg.LineBytes / cfg.Assoc
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets), setMask: uint32(nsets - 1)}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
+	c := &Cache{
+		cfg:     cfg,
+		lines:   make([]line, nsets*cfg.Assoc),
+		assoc:   uint32(cfg.Assoc),
+		setMask: uint32(nsets - 1),
 	}
-	for l := cfg.LineBytes; l > 1; l >>= 1 {
-		c.setShift++
-	}
+	c.setShift = log2(uint32(cfg.LineBytes))
+	c.tagShift = c.setShift + log2(uint32(nsets))
 	return c, nil
+}
+
+// set returns the ways of the set addr maps to, and addr's tag.
+func (c *Cache) set(addr uint32) ([]line, uint32) {
+	base := ((addr >> c.setShift) & c.setMask) * c.assoc
+	return c.lines[base : base+c.assoc], addr >> c.tagShift
 }
 
 // Config reports the cache's configuration.
@@ -124,10 +134,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) Access(addr uint32, write bool) (hit, writeback bool) {
 	c.clock++
 	c.stats.Accesses++
-	setIdx := (addr >> c.setShift) & c.setMask
-	tag := addr >> c.setShift >> log2(c.setMask+1)
-	set := c.sets[setIdx]
-
+	set, tag := c.set(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			c.stats.Hits++
@@ -161,9 +168,8 @@ func (c *Cache) Access(addr uint32, write bool) (hit, writeback bool) {
 // Probe reports whether addr is present without touching LRU state or
 // statistics.
 func (c *Cache) Probe(addr uint32) bool {
-	setIdx := (addr >> c.setShift) & c.setMask
-	tag := addr >> c.setShift >> log2(c.setMask+1)
-	for _, l := range c.sets[setIdx] {
+	set, tag := c.set(addr)
+	for _, l := range set {
 		if l.valid && l.tag == tag {
 			return true
 		}
@@ -174,13 +180,11 @@ func (c *Cache) Probe(addr uint32) bool {
 // Flush invalidates all lines and reports how many were dirty.
 func (c *Cache) Flush() int {
 	dirty := 0
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			if c.sets[i][j].valid && c.sets[i][j].dirty {
-				dirty++
-			}
-			c.sets[i][j] = line{}
+	for i, l := range c.lines {
+		if l.valid && l.dirty {
+			dirty++
 		}
+		c.lines[i] = line{}
 	}
 	return dirty
 }

@@ -211,3 +211,15 @@ func TestHierarchyValidation(t *testing.T) {
 		t.Errorf("nil steer sent access to partition %d", pi)
 	}
 }
+
+// BenchmarkNewHierarchy builds the paper's L1+LVC+L2 hierarchy, the
+// cache set-up every timing simulation pays before its first cycle.
+func BenchmarkNewHierarchy(b *testing.B) {
+	cfg := HierarchyConfig{Partitions: []PartitionConfig{L1Config(2, 2), LVCConfig(2)}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewHierarchy(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

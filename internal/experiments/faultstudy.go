@@ -118,9 +118,9 @@ func (r *Runner) FaultCampaign(w *workload.Workload, seed uint64, runs, faults i
 		}
 		r.logf("fault campaign %s (seed %d, %d runs x %d faults) ...", w.Name, seed, runs, faults)
 		var sum *faultinject.Summary
-		err = r.stage(w.Name, "faultcampaign", func(context.Context) error {
+		err = r.stage(w.Name, "faultcampaign", func(ctx context.Context) error {
 			var err error
-			sum, err = faultinject.RunCampaign(p, w.Name, seed, runs, faults, r.MaxInsts, cfg)
+			sum, err = faultinject.RunCampaign(ctx, p, w.Name, seed, runs, faults, r.MaxInsts, cfg)
 			return err
 		})
 		if err != nil {

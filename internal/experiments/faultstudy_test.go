@@ -164,7 +164,8 @@ func TestBatchAbortsWithoutDegrade(t *testing.T) {
 // TestRunnerCtxCancelsSimulation cancels the campaign context after
 // the shared artifacts are memoized, so each study's own pass is what
 // must notice. E8 is answered by the profile pass, so its case leaves
-// the profile to be computed under the cancelled context.
+// the profile to be computed under the cancelled context. A fault
+// campaign reads only the program: its golden run must notice.
 func TestRunnerCtxCancelsSimulation(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -189,6 +190,10 @@ func TestRunnerCtxCancelsSimulation(t *testing.T) {
 		}},
 		{"LVCHitRate", false, func(r *Runner) error {
 			_, err := r.LVCHitRate()
+			return err
+		}},
+		{"FaultCampaign", false, func(r *Runner) error {
+			_, err := r.FaultCampaign(r.Workloads[0], 9, 2, 3, cpu.Decoupled(3, 3))
 			return err
 		}},
 	} {

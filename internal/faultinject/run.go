@@ -24,14 +24,15 @@ type Golden struct {
 }
 
 // GoldenRun executes p functionally (truncated at maxInsts; 0 means
-// the VM default) and digests its architectural outcome.
-func GoldenRun(p *prog.Program, maxInsts uint64) (*Golden, error) {
+// the VM default) and digests its architectural outcome. The run polls
+// ctx and fails with its error once it ends.
+func GoldenRun(ctx context.Context, p *prog.Program, maxInsts uint64) (*Golden, error) {
 	d := newDigester()
 	m, err := vm.New(vm.Config{Program: p, Out: d})
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Run(context.TODO(), maxInsts, d.observe); err != nil {
+	if err := m.Run(ctx, maxInsts, d.observe); err != nil {
 		return nil, fmt.Errorf("faultinject: golden run: %w", err)
 	}
 	return &Golden{
@@ -78,8 +79,9 @@ func (r *RunResult) Survived() bool { return r.Divergence == "" }
 //     fails the simulation, which is a divergence.
 //
 // Violations are reported in RunResult.Divergence; the error return is
-// reserved for harness failures (e.g. an invalid configuration).
-func RunOne(p *prog.Program, maxInsts uint64, golden *Golden, plan *Plan, cfg cpu.Config) (*RunResult, error) {
+// reserved for harness failures (e.g. an invalid configuration) and
+// for ctx ending, which stops the run without a verdict.
+func RunOne(ctx context.Context, p *prog.Program, maxInsts uint64, golden *Golden, plan *Plan, cfg cpu.Config) (*RunResult, error) {
 	res := &RunResult{Seed: plan.Seed}
 
 	table, err := core.NewARPT(core.DefaultPipelineConfig())
@@ -98,6 +100,7 @@ func RunOne(p *prog.Program, maxInsts uint64, golden *Golden, plan *Plan, cfg cp
 	var faulted ArchDigest
 	var finalSeen bool
 	tr, err := cpu.BuildTrace(p, cpu.TraceOptions{
+		Ctx:        ctx,
 		MaxInsts:   maxInsts,
 		Classifier: cls,
 		SteerFault: inj.SteerFault,
@@ -109,6 +112,9 @@ func RunOne(p *prog.Program, maxInsts uint64, golden *Golden, plan *Plan, cfg cp
 			finalSeen = true
 		},
 	})
+	if err != nil && ctx.Err() != nil {
+		return nil, err
+	}
 	res.Fired = inj.FiredCount()
 
 	if seq, hasMemFault := plan.FirstMemFault(); hasMemFault && seq < golden.Shape.Insts {
@@ -140,12 +146,15 @@ func RunOne(p *prog.Program, maxInsts uint64, golden *Golden, plan *Plan, cfg cp
 		return res, nil
 	}
 
-	sim, err := cpu.New(cfg, cpu.WithFaults(inj))
+	sim, err := cpu.New(cfg, cpu.WithFaults(inj), cpu.WithContext(ctx))
 	if err != nil {
 		return nil, err
 	}
 	sres, err := sim.Run(tr)
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, err
+		}
 		res.Divergence = fmt.Sprintf("faulted timing simulation failed: %v", err)
 		return res, nil
 	}
@@ -202,16 +211,17 @@ func (s *Summary) String() string {
 // RunCampaign runs a seeded campaign of differential fault runs
 // against one program. Per-run plan seeds are derived from the
 // campaign seed, so the whole campaign is reproducible from (seed,
-// runs, faultsPerRun, maxInsts, cfg).
-func RunCampaign(p *prog.Program, name string, seed uint64, runs, faultsPerRun int, maxInsts uint64, cfg cpu.Config) (*Summary, error) {
-	golden, err := GoldenRun(p, maxInsts)
+// runs, faultsPerRun, maxInsts, cfg). Ending ctx stops the campaign
+// with its error.
+func RunCampaign(ctx context.Context, p *prog.Program, name string, seed uint64, runs, faultsPerRun int, maxInsts uint64, cfg cpu.Config) (*Summary, error) {
+	golden, err := GoldenRun(ctx, p, maxInsts)
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: %s: %w", name, err)
 	}
 	s := &Summary{Workload: name, Seed: seed, Runs: runs, FaultsPerRun: faultsPerRun}
 	for i := 0; i < runs; i++ {
 		plan := NewPlan(detrand.Mix(seed, uint64(i)), faultsPerRun, golden.Shape)
-		rr, err := RunOne(p, maxInsts, golden, plan, cfg)
+		rr, err := RunOne(ctx, p, maxInsts, golden, plan, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("faultinject: %s run %d: %w", name, i, err)
 		}

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -43,11 +44,11 @@ func programs(t *testing.T) map[string]*prog.Program {
 
 func TestGoldenRunDeterministic(t *testing.T) {
 	p := programs(t)["099.go"]
-	a, err := GoldenRun(p, testMaxInsts)
+	a, err := GoldenRun(context.Background(), p, testMaxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GoldenRun(p, testMaxInsts)
+	b, err := GoldenRun(context.Background(), p, testMaxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +87,14 @@ func TestArchDigestDiff(t *testing.T) {
 
 func TestMemFaultSurfaces(t *testing.T) {
 	p := programs(t)["099.go"]
-	golden, err := GoldenRun(p, testMaxInsts)
+	golden, err := GoldenRun(context.Background(), p, testMaxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := golden.Shape.Insts / 2
 	plan := &Plan{Seed: 1, Shape: golden.Shape,
 		Faults: []Fault{{Kind: MemFault, Arg: seq}}}
-	rr, err := RunOne(p, testMaxInsts, golden, plan, cpu.Decoupled(3, 3))
+	rr, err := RunOne(context.Background(), p, testMaxInsts, golden, plan, cpu.Decoupled(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestMemFaultSurfaces(t *testing.T) {
 
 func TestForcedMispredictKeepsArchitecture(t *testing.T) {
 	p := programs(t)["099.go"]
-	golden, err := GoldenRun(p, testMaxInsts)
+	golden, err := GoldenRun(context.Background(), p, testMaxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestForcedMispredictKeepsArchitecture(t *testing.T) {
 		plan.Faults = append(plan.Faults,
 			Fault{Kind: ForceMispredict, Arg: i * (golden.Shape.MemRefs / 50)})
 	}
-	rr, err := RunOne(p, testMaxInsts, golden, plan, cpu.Decoupled(3, 3))
+	rr, err := RunOne(context.Background(), p, testMaxInsts, golden, plan, cpu.Decoupled(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestCampaignAcceptance(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for pass := 0; pass < 2; pass++ {
-				s, err := RunCampaign(p, name, 1234, runsPerWorkload, 6, testMaxInsts, cfg)
+				s, err := RunCampaign(context.Background(), p, name, 1234, runsPerWorkload, 6, testMaxInsts, cfg)
 				if err != nil {
 					errs <- err
 					return

@@ -8,13 +8,19 @@ import "encoding/json"
 //	POST /api/v1/lease/{id}/renew    RenewRequest  -> RenewReply
 //	POST /api/v1/lease/{id}/complete CompleteRequest -> 200 | 409
 //
-// A 204 from lease means the queue is empty right now; 404 or 409 from
-// renew or complete means the lease is gone or fenced and the worker
-// should abandon the unit — someone else owns it.
+// A lease request waits on the coordinator's queue for up to its
+// wait_ms (capped by the coordinator; absent means answer at once), and
+// a 204 means no unit arrived in that time. A 404 or 409 from renew or
+// complete means the lease is gone or fenced and the worker should
+// abandon the unit — someone else owns it.
 
 // LeaseRequest is a worker's pull for one unit.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
+	// WaitMS is how long the coordinator may hold the request open
+	// waiting for a unit before it answers 204 (capped by the
+	// coordinator; 0 answers at once).
+	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 // LeaseGrant is the coordinator's answer: one leased unit plus the

@@ -64,7 +64,7 @@ type Worker struct {
 	Execute     Execute
 	HTTP        *http.Client  // nil = http.DefaultClient
 	RenewEvery  time.Duration // heartbeat period
-	Poll        time.Duration // sleep when the source has no unit or is away
+	Poll        time.Duration // how long one lease waits on an empty queue; the back-off after a failed one
 	Parallel    int           // concurrent leases (<= 0 means 1)
 	Log         io.Writer     // nil = quiet
 
@@ -118,7 +118,14 @@ func (w *Worker) Run(ctx context.Context) error {
 		if client == nil {
 			client = http.DefaultClient
 		}
-		src = httpSource{base: w.Coordinator, client: client}
+		// A lease request waits up to Poll on the coordinator's queue,
+		// but no longer than half the client's timeout: a long wait
+		// must not read as a transport failure.
+		wait := w.poll()
+		if client.Timeout > 0 {
+			wait = min(wait, client.Timeout/2)
+		}
+		src = httpSource{base: w.Coordinator, client: client, wait: wait}
 	}
 	n := w.Parallel
 	if n <= 0 {
@@ -141,18 +148,27 @@ func (w *Worker) Run(ctx context.Context) error {
 
 func (w *Worker) loop(ctx context.Context, src Source) {
 	for ctx.Err() == nil {
+		start := time.Now()
 		g, ok, err := src.Lease(ctx, w.ID)
 		if errors.Is(err, ErrClosed) {
 			return
 		}
+		pause := w.poll()
 		if err != nil {
 			w.logf("lease: %v", err)
+		} else {
+			// The request itself may have waited on the queue: sleep
+			// only the part of Poll it did not spend, so a coordinator
+			// that answers at once is still asked once per Poll.
+			pause -= time.Since(start)
 		}
 		if !ok {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(w.poll()):
+			if pause > 0 {
+				select {
+				case <-ctx.Done():
+					return
+				case <-time.After(pause):
+				}
 			}
 			continue
 		}
@@ -299,14 +315,16 @@ func (w *Worker) complete(ctx context.Context, src Source, g LeaseGrant, req Com
 	}
 }
 
-// httpSource is the lease API of a remote coordinator.
+// httpSource is the lease API of a remote coordinator. A lease
+// request asks the coordinator to wait up to wait for a unit.
 type httpSource struct {
 	base   string
 	client *http.Client
+	wait   time.Duration
 }
 
 func (h httpSource) Lease(ctx context.Context, worker string) (g LeaseGrant, ok bool, err error) {
-	code, err := h.post(ctx, "/api/v1/lease", LeaseRequest{Worker: worker}, &g)
+	code, err := h.post(ctx, "/api/v1/lease", LeaseRequest{Worker: worker, WaitMS: h.wait.Milliseconds()}, &g)
 	if err == nil && code != http.StatusOK && code != http.StatusNoContent {
 		err = fmt.Errorf("lease: HTTP %d", code)
 	}

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -80,5 +83,35 @@ func TestCancelWakesBackoff(t *testing.T) {
 	}
 	if s := w.Stats(); s.Failed != 0 || s.Completed != 1 {
 		t.Fatalf("stats %+v, want the canceled unit published but not counted failed", s)
+	}
+}
+
+// Against a coordinator that answers every lease at once with 204 (one
+// that does not wait on its queue), a worker still asks only once per
+// Poll.
+func TestPollPacesImmediateEmptyLeases(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		requests.Add(1)
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer srv.Close()
+	const poll = 50 * time.Millisecond
+	w := &Worker{Coordinator: srv.URL, ID: "w", Poll: poll,
+		Execute: func(context.Context, LeaseGrant) (json.RawMessage, error) { return nil, nil }}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	start := time.Now()
+	go func() {
+		defer close(done)
+		w.Run(ctx)
+	}()
+	time.Sleep(500 * time.Millisecond)
+	cancel()
+	<-done
+	elapsed := time.Since(start)
+	n, most := requests.Load(), int64(elapsed/poll)+1
+	if n < 2 || n > most {
+		t.Fatalf("%d lease requests in %v, want 2..%d at one per %v", n, elapsed, most, poll)
 	}
 }

@@ -247,7 +247,7 @@ func TestFleetRecoverRestoresFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := svc1.leaseNext("doomed")
+	g1, err := svc1.lease(context.Background(), "doomed", 0, false)
 	if err != nil || g1 == nil {
 		t.Fatalf("lease: %v (grant %v)", err, g1)
 	}
@@ -267,7 +267,7 @@ func TestFleetRecoverRestoresFence(t *testing.T) {
 		t.Fatalf("recovery requeued %d units, want 1", stats.Requeued)
 	}
 
-	g2, err := svc2.leaseNext("survivor")
+	g2, err := svc2.lease(context.Background(), "survivor", 0, false)
 	if err != nil || g2 == nil {
 		t.Fatalf("post-restart lease: %v (grant %v)", err, g2)
 	}

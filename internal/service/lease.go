@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/service/fleet"
@@ -71,6 +72,7 @@ func (s *Service) requeueLocked(u *unit) {
 	//arlvet:allow lockheld the unit still holds its queue slot (a remote lease's reservation, or an in-process worker's spare slot), so the send cannot block
 	s.queue <- u
 	s.unreserveLocked(u)
+	s.wakeLocked()
 	s.gauge("service_queue_depth", "units waiting for a worker").Set(float64(len(s.queue)))
 }
 
@@ -92,32 +94,77 @@ func (s *Service) requeueLeased(u *unit) {
 	s.mu.Unlock()
 }
 
-// leaseNext dequeues one runnable unit and grants it to a remote
-// worker. It returns (nil, nil) when no unit is available.
-func (s *Service) leaseNext(workerID string) (*fleet.LeaseGrant, error) {
-	if !s.Ready() {
-		return nil, ErrNotReady
+// MaxLeaseWait caps how long one POST /api/v1/lease waits on an empty
+// queue, whatever its wait_ms asks for.
+const MaxLeaseWait = 30 * time.Second
+
+// wakeLocked tells lease waiters a unit was queued. Callers hold s.mu.
+func (s *Service) wakeLocked() {
+	close(s.queued)
+	s.queued = make(chan struct{})
+}
+
+// lease grants worker the next runnable unit, waiting up to wait for
+// one to be queued; a negative wait waits until ctx ends or Drain
+// begins. It returns (nil, nil) when the wait passes with no unit, and
+// fleet.ErrClosed once Drain begins. A local lease is the in-process
+// workers' pinned grant: it never expires and takes no queue slot. A
+// remote lease keeps its unit's slot until the unit finishes or
+// requeues.
+func (s *Service) lease(ctx context.Context, worker string, wait time.Duration, local bool) (*fleet.LeaseGrant, error) {
+	var expired <-chan time.Time
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		expired = t.C
 	}
 	for {
+		// Drain wins over a queued unit: once it begins, queued units
+		// are its to cancel.
+		select {
+		case <-s.stop:
+			return nil, fleet.ErrClosed
+		default:
+		}
+		if !local && !s.Ready() {
+			return nil, ErrNotReady
+		}
 		// Dequeue and reserve under s.mu: the non-blocking receive plus
 		// the leased increment must be atomic against Submit's capacity
 		// check, or a burst of submissions could overrun the invariant
-		// that keeps requeues non-blocking.
+		// that keeps requeues non-blocking. The wake-up channel is taken
+		// in the same critical section, so a unit queued after the
+		// receive finds it empty still wakes this waiter.
 		var u *unit
 		s.mu.Lock()
+		queued := s.queued
 		select {
 		//arlvet:allow lockheld non-blocking receive; the default arm exits immediately
 		case u = <-s.queue:
-			u.slot = true
-			s.leased++
+			if !local {
+				u.slot = true
+				s.leased++
+			}
 		default:
 		}
 		s.mu.Unlock()
-		if u == nil {
+		if u != nil {
+			if g, err := s.grant(u, worker, local); g != nil || err != nil {
+				return g, err
+			}
+			continue
+		}
+		if wait == 0 {
 			return nil, nil
 		}
-		if g, err := s.grant(u, workerID, false); g != nil || err != nil {
-			return g, err
+		select {
+		case <-queued:
+		case <-expired:
+			return nil, nil
+		case <-s.stop:
+			return nil, fleet.ErrClosed
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
 }
@@ -128,30 +175,11 @@ func (s *Service) leaseNext(workerID string) (*fleet.LeaseGrant, error) {
 type localSource struct{ s *Service }
 
 func (l localSource) Lease(ctx context.Context, worker string) (fleet.LeaseGrant, bool, error) {
-	s := l.s
-	for {
-		// Drain wins over a queued unit: once it begins, queued units
-		// are its to cancel.
-		select {
-		case <-s.stop:
-			return fleet.LeaseGrant{}, false, fleet.ErrClosed
-		default:
-		}
-		select {
-		case <-s.stop:
-			return fleet.LeaseGrant{}, false, fleet.ErrClosed
-		case <-ctx.Done():
-			return fleet.LeaseGrant{}, false, ctx.Err()
-		case u := <-s.queue:
-			g, err := s.grant(u, worker, true)
-			if err != nil {
-				return fleet.LeaseGrant{}, false, err
-			}
-			if g != nil {
-				return *g, true, nil
-			}
-		}
+	g, err := l.s.lease(ctx, worker, -1, true)
+	if g == nil {
+		return fleet.LeaseGrant{}, false, err
 	}
+	return *g, true, nil
 }
 
 func (l localSource) Renew(_ context.Context, id string, req fleet.RenewRequest) (fleet.RenewReply, error) {
@@ -304,10 +332,13 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	if req.Worker == "" {
 		req.Worker = "anonymous"
 	}
-	g, err := s.leaseNext(req.Worker)
+	wait := time.Duration(min(max(req.WaitMS, 0), MaxLeaseWait.Milliseconds())) * time.Millisecond
+	g, err := s.lease(r.Context(), req.Worker, wait, false)
 	switch {
-	case errors.Is(err, ErrNotReady), errors.Is(err, ErrJournal):
+	case errors.Is(err, ErrNotReady), errors.Is(err, ErrJournal), errors.Is(err, fleet.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, err)
+	case err != nil && r.Context().Err() != nil:
+		// The worker hung up during the wait: nobody reads an answer.
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, err)
 	case g == nil:

@@ -132,6 +132,7 @@ type Service struct {
 	wg    sync.WaitGroup
 
 	mu       sync.Mutex
+	queued   chan struct{} // closed and replaced whenever a unit is queued (see lease)
 	draining bool
 	jobs     map[string]*job
 	nextJob  int
@@ -178,6 +179,7 @@ func New(cfg Config, st *store.Store) *Service {
 		// (see Submit).
 		queue:   make(chan *unit, cfg.QueueCap+local),
 		stop:    make(chan struct{}),
+		queued:  make(chan struct{}),
 		jobs:    make(map[string]*job),
 		seen:    make(map[string]struct{}),
 		tenant:  make(map[string]int),
@@ -391,6 +393,7 @@ func (s *Service) Submit(req CampaignRequest) (JobStatus, error) {
 		s.counter("service_units_total", "campaign units accepted",
 			obs.Labels{"tenant": tenant, "kind": u.spec.Kind}).Inc()
 	}
+	s.wakeLocked()
 	s.counter("service_jobs_total", "campaigns accepted", obs.Labels{"tenant": tenant}).Inc()
 	s.gauge("service_queue_depth", "units waiting for a worker").Set(float64(len(s.queue)))
 	s.mu.Unlock()
@@ -919,6 +922,9 @@ func (s *Service) Recover() (RecoverStats, error) {
 	s.ready.Store(true)
 	for _, u := range requeue {
 		s.queue <- u
+		s.mu.Lock()
+		s.wakeLocked()
+		s.mu.Unlock()
 	}
 	s.gauge("service_queue_depth", "units waiting for a worker").Set(float64(len(s.queue)))
 	return rs, nil
