@@ -50,7 +50,7 @@ func main() {
 	c := cliutil.New("arld")
 	addr := flag.String("addr", "localhost:8080", "listen address")
 	queueCap := flag.Int("queue-cap", 0,
-		fmt.Sprintf("unit queue bound; submissions that do not fit get 429 (0 = %d)", service.DefaultQueueCap))
+		fmt.Sprintf("bound on units waiting for a worker (units on leases take no slot); submissions that do not fit get 429 (0 = %d)", service.DefaultQueueCap))
 	tenantCap := flag.Int("tenant-cap", 0,
 		"per-tenant in-flight unit bound; over-quota submissions get 429 (0 = the queue bound)")
 	journalDir := flag.String("journal-dir", "",

@@ -213,3 +213,51 @@ func TestExplorePenaltyZero(t *testing.T) {
 		}
 	}
 }
+
+// A simulate unit with an ARPT size simulates that ARPT: it expands to
+// an explore unit and returns what Runner.SimulateConfigARPT does, not
+// the default-ARPT result under an arpt=16 key. A negative size is
+// rejected on either kind.
+func TestSimulateUnitHonoursARPT(t *testing.T) {
+	_, client, _ := testService(t, Config{Workers: 1}, false)
+	const n = 50_000
+	cfg := configPtr(t, "(3+3)")
+	resp, err := client.Run(CampaignRequest{MaxInsts: n, Units: []UnitSpec{
+		{Kind: KindSimulate, Workload: "go", Config: cfg, ARPT: 16}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := resp.Units[0].Spec.Kind; k != KindExplore {
+		t.Errorf("simulate unit with arpt=16 expanded to kind %s, want %s", k, KindExplore)
+	}
+	got, err := decodeUnits[cpu.Result](resp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := experiments.NewRunner()
+	r.MaxInsts = n
+	w := testWorkloads(t, "go")[0]
+	want, err := r.SimulateConfigARPT(w, 16, *cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := r.SimulateConfig(w, *cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.ARPTMispredicts == def.ARPTMispredicts {
+		t.Fatalf("arpt=16 and the default ARPT both mispredict %d times: the test cannot tell them apart", def.ARPTMispredicts)
+	}
+	if !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("simulate unit with arpt=16: %d ARPT mispredicts, want %d (default ARPT: %d)",
+			got[0].ARPTMispredicts, want.ARPTMispredicts, def.ARPTMispredicts)
+	}
+
+	for _, kind := range []string{KindSimulate, KindExplore} {
+		if _, err := expand(CampaignRequest{Units: []UnitSpec{
+			{Kind: kind, Workload: "go", Config: cfg, ARPT: -1}}}); err == nil {
+			t.Errorf("%s unit with arpt=-1 accepted", kind)
+		}
+	}
+}

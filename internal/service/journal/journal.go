@@ -85,10 +85,6 @@ const (
 	TypeEvent = "event"
 	// TypeEnd records a job reaching its terminal state.
 	TypeEnd = "end"
-	// TypeLease records a grant in journals written before grants rode
-	// on the unit's running event. Recovery still reads its Token: the
-	// fencing high-water mark must survive a restart.
-	TypeLease = "lease"
 )
 
 // Record is one journaled fact.
@@ -126,9 +122,8 @@ type ReplayStats struct {
 // Journal is an open write-ahead journal rooted at one directory.
 // Appends are serialized and safe for concurrent use.
 type Journal struct {
-	fs   store.FS
-	dir  string
-	sync bool
+	fs  store.FS
+	dir string
 
 	mu      sync.Mutex
 	active  store.File
@@ -147,7 +142,7 @@ func Open(dir string) (*Journal, error) {
 
 // OpenFS is Open over an explicit filesystem seam.
 func OpenFS(fs store.FS, dir string) (*Journal, error) {
-	j := &Journal{fs: fs, dir: dir, sync: true}
+	j := &Journal{fs: fs, dir: dir}
 	for _, sub := range []string{dir, filepath.Join(dir, "quarantine")} {
 		if err := fs.MkdirAll(sub, 0o755); err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
@@ -167,16 +162,6 @@ func OpenFS(fs store.FS, dir string) (*Journal, error) {
 	return j, nil
 }
 
-// SetSync controls whether every append fsyncs the segment (default
-// true). Turning it off trades the durability of the newest records
-// for append throughput; the record framing stays crash-safe either
-// way.
-func (j *Journal) SetSync(sync bool) {
-	j.mu.Lock()
-	j.sync = sync
-	j.mu.Unlock()
-}
-
 // SetSegmentCap overrides the rotation threshold in bytes (<= 0
 // restores DefaultSegmentCap). Tests use it to cross rotation
 // boundaries without writing megabytes.
@@ -185,9 +170,6 @@ func (j *Journal) SetSegmentCap(n int) {
 	j.segCap = n
 	j.mu.Unlock()
 }
-
-// Dir reports the journal's root directory.
-func (j *Journal) Dir() string { return j.dir }
 
 // Appends reports how many records have been appended by this process.
 func (j *Journal) Appends() int {
@@ -242,11 +224,11 @@ func (j *Journal) rotateLocked(n int) error {
 	return nil
 }
 
-// Append journals one record: frame, checksum, write, and (unless
-// SetSync(false)) fsync before returning, so a record Append accepted
-// survives a crash an instant later. An append error leaves the
-// journal usable — the next append re-synchronizes onto a fresh line —
-// but the failed record is lost and the caller should surface that.
+// Append journals one record: frame, checksum, write, and fsync before
+// returning, so a record Append accepted survives a crash an instant
+// later. An append error leaves the journal usable — the next append
+// re-synchronizes onto a fresh line — but the failed record is lost
+// and the caller should surface that.
 func (j *Journal) Append(rec Record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -278,13 +260,11 @@ func (j *Journal) Append(rec Record) error {
 		j.dirty = true
 		return fmt.Errorf("journal: appending: %w", err)
 	}
-	if j.sync {
-		if err := j.active.Sync(); err != nil {
-			// The bytes are written but their durability is unknown —
-			// the fsyncgate lesson says treat the handle as suspect.
-			// The line framing is intact, so no resync is needed.
-			return fmt.Errorf("journal: syncing: %w", err)
-		}
+	if err := j.active.Sync(); err != nil {
+		// The bytes are written but their durability is unknown — the
+		// fsyncgate lesson says treat the handle as suspect. The line
+		// framing is intact, so no resync is needed.
+		return fmt.Errorf("journal: syncing: %w", err)
 	}
 	j.size += len(line)
 	j.appends++

@@ -274,7 +274,6 @@ func TestSegmentRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SetSync(false)
 	big := strings.Repeat("x", 64<<10)
 	n := DefaultSegmentCap/(64<<10) + 4
 	for i := 0; i < n; i++ {
@@ -325,7 +324,6 @@ func TestConcurrentCorruptionHammer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("gen %d Open: %v", gen, err)
 		}
-		j.SetSync(false) // hammer throughput; crash durability is covered elsewhere
 
 		var wg sync.WaitGroup
 		var mu sync.Mutex
@@ -441,7 +439,6 @@ func TestConcurrentRotationExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SetSync(false)
 	j.SetSegmentCap(8 << 10)
 
 	const writers = 8

@@ -56,26 +56,6 @@ func (s *Service) leaseGauges() {
 		Set(float64(s.leases.Workers()))
 }
 
-// unreserveLocked releases the queue slot a unit held on a remote
-// lease. Callers hold s.mu.
-func (s *Service) unreserveLocked(u *unit) {
-	if u.slot {
-		u.slot = false
-		s.leased--
-	}
-}
-
-// requeueLocked puts a leased unit back on the queue. Callers hold
-// s.mu; the send cannot block because the unit still holds its slot
-// (see Submit).
-func (s *Service) requeueLocked(u *unit) {
-	//arlvet:allow lockheld the unit still holds its queue slot (a remote lease's reservation, or an in-process worker's spare slot), so the send cannot block
-	s.queue <- u
-	s.unreserveLocked(u)
-	s.wakeLocked()
-	s.gauge("service_queue_depth", "units waiting for a worker").Set(float64(len(s.queue)))
-}
-
 // requeueLeased returns an expired lease's unit to the queue — or
 // cancels it when its job died or the service is draining.
 func (s *Service) requeueLeased(u *unit) {
@@ -90,7 +70,7 @@ func (s *Service) requeueLeased(u *unit) {
 		s.interrupt(u)
 		return
 	}
-	s.requeueLocked(u)
+	s.enqueueLocked(u)
 	s.mu.Unlock()
 }
 
@@ -98,19 +78,21 @@ func (s *Service) requeueLeased(u *unit) {
 // queue, whatever its wait_ms asks for.
 const MaxLeaseWait = 30 * time.Second
 
-// wakeLocked tells lease waiters a unit was queued. Callers hold s.mu.
-func (s *Service) wakeLocked() {
+// enqueueLocked appends units to the queue and wakes lease waiters.
+// Callers hold s.mu. A requeue may take the queue past QueueCap, which
+// only bounds new submissions.
+func (s *Service) enqueueLocked(units ...*unit) {
+	s.queue = append(s.queue, units...)
 	close(s.queued)
 	s.queued = make(chan struct{})
+	s.gauge("service_queue_depth", "units waiting for a worker").Set(float64(len(s.queue)))
 }
 
 // lease grants worker the next runnable unit, waiting up to wait for
 // one to be queued; a negative wait waits until ctx ends or Drain
 // begins. It returns (nil, nil) when the wait passes with no unit, and
 // fleet.ErrClosed once Drain begins. A local lease is the in-process
-// workers' pinned grant: it never expires and takes no queue slot. A
-// remote lease keeps its unit's slot until the unit finishes or
-// requeues.
+// workers' pinned grant: it never expires.
 func (s *Service) lease(ctx context.Context, worker string, wait time.Duration, local bool) (*fleet.LeaseGrant, error) {
 	var expired <-chan time.Time
 	if wait > 0 {
@@ -129,23 +111,17 @@ func (s *Service) lease(ctx context.Context, worker string, wait time.Duration, 
 		if !local && !s.Ready() {
 			return nil, ErrNotReady
 		}
-		// Dequeue and reserve under s.mu: the non-blocking receive plus
-		// the leased increment must be atomic against Submit's capacity
-		// check, or a burst of submissions could overrun the invariant
-		// that keeps requeues non-blocking. The wake-up channel is taken
-		// in the same critical section, so a unit queued after the
-		// receive finds it empty still wakes this waiter.
+		// The wake-up channel is taken under the same s.mu as the
+		// dequeue, so a unit queued after this finds the queue empty
+		// still wakes this waiter.
 		var u *unit
 		s.mu.Lock()
 		queued := s.queued
-		select {
-		//arlvet:allow lockheld non-blocking receive; the default arm exits immediately
-		case u = <-s.queue:
-			if !local {
-				u.slot = true
-				s.leased++
-			}
-		default:
+		if len(s.queue) > 0 {
+			u = s.queue[0]
+			s.queue[0] = nil
+			s.queue = s.queue[1:]
+			s.gauge("service_queue_depth", "units waiting for a worker").Set(float64(len(s.queue)))
 		}
 		s.mu.Unlock()
 		if u != nil {
@@ -195,7 +171,6 @@ func (l localSource) Complete(_ context.Context, id string, req fleet.CompleteRe
 // when the unit ended instead: its job was canceled, or its workload's
 // circuit breaker is open.
 func (s *Service) grant(u *unit, worker string, local bool) (*fleet.LeaseGrant, error) {
-	s.gauge("service_queue_depth", "units waiting for a worker").Set(float64(len(s.queue)))
 	if u.job.ctx.Err() != nil {
 		s.finish(u, StateCanceled, "", nil)
 		return nil, nil
@@ -226,7 +201,7 @@ func (s *Service) grant(u *unit, worker string, local bool) (*fleet.LeaseGrant, 
 		s.leases.Retract(l.ID)
 		s.abandon(u)
 		s.mu.Lock()
-		s.requeueLocked(u)
+		s.enqueueLocked(u)
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %v", ErrJournal, err)
 	}

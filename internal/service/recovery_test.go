@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net"
@@ -30,11 +31,13 @@ func journaledService(t *testing.T, dir string, cfg Config) (*Service, *Client) 
 		t.Fatal(err)
 	}
 	cfg.Journal = jrn
+	// Cleanups run last-in first-out: the journal closes after Drain has
+	// journaled the units it interrupts.
+	t.Cleanup(func() { jrn.Close() })
 	svc := New(cfg, st)
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 	t.Cleanup(svc.Drain)
-	t.Cleanup(func() { jrn.Close() })
 	return svc, &Client{Base: srv.URL, Tenant: "test"}
 }
 
@@ -261,6 +264,60 @@ func TestJournalRecoveryRequeuesIncompleteUnits(t *testing.T) {
 	events, _, _ := j.eventsFrom(3)
 	if len(events) == 0 || events[0].Seq != 3 || events[0].State != StateQueued || events[0].Unit != 1 {
 		t.Fatalf("expected seq-3 queued reset event for unit 1, got %+v", events)
+	}
+}
+
+// Recover queues a backlog larger than QueueCap at once and returns
+// with no worker attached: it never waits for queue room, so arld goes
+// on to serve (and to handle SIGTERM). Submissions then get 429 until
+// workers bring the queue back under the bound.
+func TestRecoverDoesNotBlockOnFullQueue(t *testing.T) {
+	dir := t.TempDir()
+	req := CampaignRequest{
+		MaxInsts:  testMaxInsts,
+		Workloads: []string{"li", "go"},
+		Configs:   []string{"(2+0)", "(2+2)", "(3+3)"},
+	}
+	reqEnc, _ := json.Marshal(req)
+	jrn0, err := journal.Open(filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jrn0.Append(journal.Record{T: journal.TypeJob, Job: "c0001", Tenant: "test", Req: reqEnc}); err != nil {
+		t.Fatal(err)
+	}
+	jrn0.Close()
+
+	svc, _ := journaledService(t, dir, Config{CoordinatorOnly: true, QueueCap: 2})
+	type recovered struct {
+		rs  RecoverStats
+		err error
+	}
+	done := make(chan recovered, 1)
+	go func() {
+		rs, err := svc.Recover()
+		done <- recovered{rs, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil || r.rs.Requeued != 6 {
+			t.Fatalf("recover: stats %+v, err %v; want 6 requeued", r.rs, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recover still blocked 5s on a backlog of 6 with QueueCap 2 and no worker")
+	}
+	if !svc.Ready() {
+		t.Fatal("service not ready after Recover")
+	}
+	cfg := cpu.Conventional(2, 2)
+	_, err = svc.Submit(CampaignRequest{Tenant: "other", Units: []UnitSpec{{Kind: KindSimulate, Workload: "li", Config: &cfg}}})
+	if !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submission over the recovered backlog: err = %v, want ErrQueueFull", err)
+	}
+	for i := 0; i < 6; i++ {
+		if g, err := svc.lease(context.Background(), "remote", 0, false); err != nil || g == nil || g.Job != "c0001" {
+			t.Fatalf("lease %d of the backlog: grant %+v, err %v", i, g, err)
+		}
 	}
 }
 

@@ -25,8 +25,9 @@ import (
 type Config struct {
 	// Workers bounds the pool executing units (0 = GOMAXPROCS).
 	Workers int
-	// QueueCap bounds the unit queue; a submission that does not fit
-	// is rejected with 429 (0 = DefaultQueueCap).
+	// QueueCap bounds the units waiting for a worker; a submission that
+	// does not fit is rejected with 429 (0 = DefaultQueueCap). A unit a
+	// worker holds, in-process or on a remote lease, takes no slot.
 	QueueCap int
 	// TenantCap bounds one tenant's queued+running units; a submission
 	// that would exceed it is rejected with 429 (0 = QueueCap).
@@ -93,7 +94,6 @@ type unit struct {
 	spec    UnitSpec
 	key     string
 	state   string // guarded by job.mu
-	slot    bool   // holds a queue slot while on a remote lease; guarded by Service.mu
 	deduped bool
 	errText string
 	result  json.RawMessage
@@ -117,7 +117,6 @@ type job struct {
 	drained  bool // ended by a server drain, not by its own units
 	counts   map[string]int
 	deduped  int
-	done     chan struct{}
 	finished bool
 }
 
@@ -127,16 +126,15 @@ type Service struct {
 	store *store.Store
 	reg   *obs.Registry
 
-	queue chan *unit
-	stop  chan struct{}
-	wg    sync.WaitGroup
+	stop chan struct{}
+	wg   sync.WaitGroup
 
 	mu       sync.Mutex
+	queue    []*unit       // units waiting for a worker, oldest first
 	queued   chan struct{} // closed and replaced whenever a unit is queued (see lease)
 	draining bool
 	jobs     map[string]*job
 	nextJob  int
-	leased   int                 // units out on remote leases; they keep their queue-capacity slot
 	seen     map[string]struct{} // unit keys computed (or claimed) by this process
 	tenant   map[string]int      // queued+running units per tenant
 	idem     map[string]string   // tenant-scoped idempotency key -> job id
@@ -172,12 +170,9 @@ func New(cfg Config, st *store.Store) *Service {
 	}
 	reg := obs.NewRegistry()
 	s := &Service{
-		cfg:   cfg,
-		store: st,
-		reg:   reg,
-		// One spare slot per in-process worker, for the unit it holds
-		// (see Submit).
-		queue:   make(chan *unit, cfg.QueueCap+local),
+		cfg:     cfg,
+		store:   st,
+		reg:     reg,
 		stop:    make(chan struct{}),
 		queued:  make(chan struct{}),
 		jobs:    make(map[string]*job),
@@ -250,16 +245,14 @@ func expand(req CampaignRequest) ([]UnitSpec, error) {
 			if err := u.Config.Validate(); err != nil {
 				return nil, fmt.Errorf("unit %d: %v", i, err)
 			}
-			if u.Kind == KindSimulate {
-				break
-			}
 			if u.ARPT < 0 {
 				return nil, fmt.Errorf("unit %d: negative ARPT size %d", i, u.ARPT)
 			}
-			if u.ARPT == 0 {
-				// Default ARPT means the plain simulation: normalize the
-				// kind so the unit dedupes against simulate campaigns.
-				u.Kind = KindSimulate
+			// The ARPT size names the kind, so one simulation has one
+			// dedupe key: the default (0) is the plain simulation.
+			u.Kind = KindSimulate
+			if u.ARPT > 0 {
+				u.Kind = KindExplore
 			}
 		case KindFaultCampaign:
 			if u.Config == nil || u.Runs <= 0 || u.Faults <= 0 {
@@ -344,18 +337,11 @@ func (s *Service) Submit(req CampaignRequest) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("%w: tenant %q has %d units in flight, cap %d",
 			ErrQuota, tenant, s.tenant[tenant], s.cfg.TenantCap)
 	}
-	// Queued units plus units on remote leases must fit in QueueCap. A
-	// remote lease keeps its unit's slot, so an expired lease can always
-	// requeue without blocking. An in-process worker's unit takes no
-	// slot here, but each such worker holds at most one unit and the
-	// queue has one spare slot per worker, so its requeue cannot block
-	// either. len(queue) only shrinks concurrently (workers dequeue;
-	// sends happen under mu), so the sends below cannot block.
-	if len(s.queue)+s.leased+len(specs) > s.cfg.QueueCap {
+	if len(s.queue)+len(specs) > s.cfg.QueueCap {
 		s.mu.Unlock()
 		s.reject(tenant, "queue")
-		return JobStatus{}, fmt.Errorf("%w: %d queued, %d leased, %d requested, cap %d",
-			ErrQueueFull, len(s.queue), s.leased, len(specs), s.cfg.QueueCap)
+		return JobStatus{}, fmt.Errorf("%w: %d queued, %d requested, cap %d",
+			ErrQueueFull, len(s.queue), len(specs), s.cfg.QueueCap)
 	}
 	id := fmt.Sprintf("c%04d", s.nextJob+1)
 	if s.jrn != nil {
@@ -388,14 +374,11 @@ func (s *Service) Submit(req CampaignRequest) (JobStatus, error) {
 	}
 	s.tenant[tenant] += len(specs)
 	for _, u := range j.units {
-		//arlvet:allow lockheld capacity was checked under this same mu above and only workers shrink the queue, so these sends cannot block
-		s.queue <- u
 		s.counter("service_units_total", "campaign units accepted",
 			obs.Labels{"tenant": tenant, "kind": u.spec.Kind}).Inc()
 	}
-	s.wakeLocked()
+	s.enqueueLocked(j.units...)
 	s.counter("service_jobs_total", "campaigns accepted", obs.Labels{"tenant": tenant}).Inc()
-	s.gauge("service_queue_depth", "units waiting for a worker").Set(float64(len(s.queue)))
 	s.mu.Unlock()
 
 	s.logf("job %s: %d units from tenant %q", j.id, len(specs), tenant)
@@ -481,12 +464,10 @@ func ExecuteUnit(r *experiments.Runner, spec UnitSpec) (any, error) {
 		return nil, fmt.Errorf("unknown workload %q", spec.Workload)
 	}
 	switch spec.Kind {
-	case KindSimulate:
-		return r.SimulateConfig(w, *spec.Config)
+	case KindSimulate, KindExplore:
+		return r.SimulateConfigARPT(w, spec.ARPT, *spec.Config)
 	case KindFaultCampaign:
 		return r.FaultCampaign(w, spec.Seed, spec.Runs, spec.Faults, *spec.Config)
-	case KindExplore:
-		return r.SimulateConfigARPT(w, spec.ARPT, *spec.Config)
 	default:
 		return nil, fmt.Errorf("unknown unit kind %q", spec.Kind)
 	}
@@ -655,7 +636,6 @@ func (s *Service) finish(u *unit, state, errText string, result json.RawMessage)
 				s.logf("journal: end %s: %v", j.id, err)
 			}
 		}
-		close(j.done)
 	}
 	final := j.state
 	j.mu.Unlock()
@@ -665,7 +645,6 @@ func (s *Service) finish(u *unit, state, errText string, result json.RawMessage)
 	if s.tenant[j.tenant] <= 0 {
 		delete(s.tenant, j.tenant)
 	}
-	s.unreserveLocked(u)
 	s.mu.Unlock()
 	if terminal {
 		s.logf("job %s: %s", j.id, final)
@@ -681,7 +660,6 @@ func newJob(id, tenant string, req CampaignRequest, specs []UnitSpec) *job {
 		notify: make(chan struct{}),
 		state:  StateRunning,
 		counts: map[string]int{StateQueued: len(specs)},
-		done:   make(chan struct{}),
 	}
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	for i, spec := range specs {
@@ -867,7 +845,6 @@ func (s *Service) Recover() (RecoverStats, error) {
 			if rj.end != nil {
 				j.state = rj.end.State
 			}
-			close(j.done)
 			rs.Finished++
 		} else {
 			n := 0
@@ -916,17 +893,13 @@ func (s *Service) Recover() (RecoverStats, error) {
 	s.logf("recovered %d jobs (%d finished) from journal: %d records, %d corrupt, %d torn; re-enqueueing %d units",
 		rs.Jobs, rs.Finished, rs.Replayed, rs.Corrupt, rs.Torn, rs.Requeued)
 
-	// Open for business before the (possibly queue-capacity-blocking)
-	// re-enqueue: workers are already draining the channel, and new
-	// submissions interleave safely with recovered units.
+	// The whole backlog goes on the queue at once, past QueueCap if need
+	// be (Submit then answers 429 until workers catch up), and only then
+	// does the service open.
+	s.mu.Lock()
+	s.enqueueLocked(requeue...)
+	s.mu.Unlock()
 	s.ready.Store(true)
-	for _, u := range requeue {
-		s.queue <- u
-		s.mu.Lock()
-		s.wakeLocked()
-		s.mu.Unlock()
-	}
-	s.gauge("service_queue_depth", "units waiting for a worker").Set(float64(len(s.queue)))
 	return rs, nil
 }
 
@@ -942,31 +915,31 @@ func (s *Service) Drain() {
 		return
 	}
 	s.draining = true
+	queued := len(s.queue)
 	s.mu.Unlock()
 	// Readiness drops the instant draining starts, so a load balancer
 	// stops routing while in-flight units finish.
 	s.ready.Store(false)
-	s.logf("draining: %d units leased, %d queued", s.leases.Active(), len(s.queue))
+	s.logf("draining: %d units leased, %d queued", s.leases.Active(), queued)
 	close(s.stop)
 	s.wg.Wait()
-	for {
-		select {
-		case u := <-s.queue:
-			s.interrupt(u)
-		default:
-			s.gauge("service_queue_depth", "units waiting for a worker").Set(0)
-			// Outstanding remote leases are canceled too: their workers'
-			// completions will find no lease (404) and move on, and the
-			// units end interrupted like drained queued ones. Finished
-			// remote work already flushed through the workers' stores.
-			for _, l := range s.leases.DrainAll() {
-				s.abandon(l.Unit.(*unit))
-				s.interrupt(l.Unit.(*unit))
-			}
-			s.leaseGauges()
-			return
-		}
+	s.mu.Lock()
+	drained := s.queue
+	s.queue = nil
+	s.gauge("service_queue_depth", "units waiting for a worker").Set(0)
+	s.mu.Unlock()
+	for _, u := range drained {
+		s.interrupt(u)
 	}
+	// Outstanding remote leases are canceled too: their workers'
+	// completions will find no lease (404) and move on, and the units
+	// end interrupted like drained queued ones. Finished remote work
+	// already flushed through the workers' stores.
+	for _, l := range s.leases.DrainAll() {
+		s.abandon(l.Unit.(*unit))
+		s.interrupt(l.Unit.(*unit))
+	}
+	s.leaseGauges()
 }
 
 // interrupt cancels a unit the draining service will not run; its job

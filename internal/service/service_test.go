@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
 	"strings"
@@ -262,6 +263,34 @@ func TestBackpressureAndQuota(t *testing.T) {
 	_, err = client.Submit(CampaignRequest{Tenant: "b", Units: unit1})
 	if err == nil || !strings.Contains(err.Error(), "429") {
 		t.Fatalf("err = %v, want an HTTP 429", err)
+	}
+}
+
+// QueueCap bounds the units waiting for a worker, wherever the worker
+// runs: a unit out on a remote lease frees its slot, as an in-process
+// worker's unit does.
+func TestRemoteLeasesTakeNoQueueSlot(t *testing.T) {
+	svc, _, _ := testService(t, Config{CoordinatorOnly: true, QueueCap: 2, TenantCap: 10}, false)
+	cfg := cpu.Conventional(2, 2)
+	unit1 := []UnitSpec{{Kind: KindSimulate, Workload: "li", Config: &cfg}}
+	for i := 0; i < 2; i++ {
+		if _, err := svc.Submit(CampaignRequest{Units: unit1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		g, err := svc.lease(context.Background(), "remote", 0, false)
+		if err != nil || g == nil {
+			t.Fatalf("lease %d: grant %v, err %v", i, g, err)
+		}
+	}
+	if _, err := svc.Submit(CampaignRequest{Units: unit1}); err != nil {
+		t.Fatalf("submission with both units on remote leases: %v", err)
+	}
+	// The one queued unit plus two more would pass the bound.
+	_, err := svc.Submit(CampaignRequest{Units: append(unit1, unit1...)})
+	if !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 }
 

@@ -64,9 +64,9 @@ const (
 	// arlfault unit.
 	KindFaultCampaign = "faultcampaign"
 	// KindExplore is one design-space point: a timing simulation whose
-	// trace is built with a non-default ARPT size. Points with the
-	// default ARPT normalize to KindSimulate at expansion, so frontier
-	// campaigns dedupe against plain simulation campaigns.
+	// trace is built with a non-default ARPT size. Expansion names the
+	// kind from the ARPT size (0 is KindSimulate, >0 is KindExplore), so
+	// frontier campaigns dedupe against plain simulation campaigns.
 	KindExplore = "explore"
 )
 
@@ -81,7 +81,7 @@ type UnitSpec struct {
 	Seed     uint64      `json:"seed,omitempty"`   // faultcampaign plan seed
 	Runs     int         `json:"runs,omitempty"`   // faultcampaign runs
 	Faults   int         `json:"faults,omitempty"` // planned faults per run
-	ARPT     int         `json:"arpt,omitempty"`   // explore: ARPT entries (0 = default)
+	ARPT     int         `json:"arpt,omitempty"`   // simulate/explore: ARPT entries (0 = default)
 }
 
 // key is the unit's canonical dedupe identity within one server:

@@ -207,9 +207,6 @@ func OpenFS(dir string, fs FS) (*Store, error) {
 	return s, nil
 }
 
-// Dir reports the store's root directory.
-func (s *Store) Dir() string { return s.root }
-
 func (s *Store) objectsDir() string    { return filepath.Join(s.root, "objects") }
 func (s *Store) quarantineDir() string { return filepath.Join(s.root, "quarantine") }
 
