@@ -2,8 +2,8 @@
 // artifacts the other arl* commands write: per-run metrics artifacts
 // (results/*.metrics.json, schema arl-metrics/v1) and ranked frontier
 // artifacts from arlexplore (schema arl-frontier/v1). The artifact
-// kind is dispatched on the document's "schema" field. CI uses it to
-// assert that every artifact parses against its embedded JSON schema;
+// kind is dispatched on the document's "schema" field. Scripts use it
+// to assert that every artifact parses against its embedded JSON schema;
 // -schema prints the metrics schema for external tooling.
 //
 // Usage:

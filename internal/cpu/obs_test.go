@@ -160,7 +160,7 @@ func TestTracerRecoverySpansMatchResult(t *testing.T) {
 	tr := tenInstTrace(t, TraceOptions{
 		// Flip the steering prediction of the second memory reference
 		// (the first load): it dispatches to the LSQ, its actual region
-		// is stack, and address translation triggers recovery.
+		// is stack, and address generation triggers recovery.
 		SteerFault: func(ref uint64, pred core.Prediction) core.Prediction {
 			if ref == 1 {
 				return !pred

@@ -666,9 +666,9 @@ func (s *simulator) fire(b []uint64, seq int64) error {
 	if s.trc != nil {
 		s.emit(seq, obs.EvAddrReady, 0)
 	}
-	// The extended TLB verifies the steering prediction at address
-	// translation; a mismatch starts recovery and the access is
-	// re-steered to the correct pipeline.
+	// The steering prediction is verified at address generation against
+	// the trace's actual region (FlagStack); a mismatch starts recovery
+	// and the access is re-steered to the correct pipeline.
 	if s.cfg.Decoupled() && ti.Mispredicted() {
 		if err := s.recoverSteering(seq, e, ti); err != nil {
 			return err
@@ -679,7 +679,7 @@ func (s *simulator) fire(b []uint64, seq int64) error {
 }
 
 // recoverSteering runs the misprediction-recovery protocol for one
-// wrong-queue dispatch: detect the mismatch at address translation,
+// wrong-queue dispatch: detect the mismatch at address generation,
 // cancel the entry from the mispredicted queue, and replay it into the
 // correct queue with the configured penalty before it may touch a cache
 // port. The straight-line code fixes that order; the entry must still

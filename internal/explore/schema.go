@@ -7,7 +7,7 @@ import (
 )
 
 // The frontier artifact schema ships inside the binary so arlexplore,
-// arlmetrics and the CI smoke check validate against exactly the
+// arlmetrics and the cmd/ wiring tests validate against exactly the
 // format Encode writes. TestFrontierMatchesSchema keeps writer and
 // schema in sync.
 //

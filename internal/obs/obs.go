@@ -8,8 +8,8 @@
 //
 //   - The Registry answers "how much": named, labeled Counter / Gauge /
 //     Hist handles replace the ad-hoc counter fields scattered across
-//     internal/cpu, internal/cache, internal/core and internal/tlb as
-//     the reporting surface. A Snapshot renders to text, to JSON, and to
+//     internal/cpu, internal/cache and internal/core as the reporting
+//     surface. A Snapshot renders to text, to JSON, and to
 //     the machine-readable results/*.metrics.json artifact every
 //     reporting CLI emits (validated against the embedded JSON schema,
 //     see ValidateMetrics).

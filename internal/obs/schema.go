@@ -22,7 +22,7 @@ func sortedKeys(m map[string]any) []string {
 }
 
 // The metrics artifact schema ships inside the binary so arlmetrics and
-// the CI smoke check validate against exactly the format this package
+// the cmd/ wiring tests validate against exactly the format this package
 // writes. The checked-in file is the contract; TestArtifactMatchesSchema
 // keeps writer and schema in sync.
 //

@@ -131,6 +131,7 @@ type Journal struct {
 	segCap  int  // rotation threshold; 0 = DefaultSegmentCap
 	seg     int  // active segment number
 	dirty   bool // a failed append may have left a partial line
+	closed  bool
 	appends int
 }
 
@@ -238,6 +239,9 @@ func (j *Journal) Append(rec Record) error {
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.closed {
+		return fmt.Errorf("journal: appending: %w", os.ErrClosed)
+	}
 	segCap := j.segCap
 	if segCap <= 0 {
 		segCap = DefaultSegmentCap
@@ -271,10 +275,11 @@ func (j *Journal) Append(rec Record) error {
 	return nil
 }
 
-// Close closes the active segment.
+// Close closes the active segment; later appends fail with os.ErrClosed.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.closed = true
 	if j.active == nil {
 		return nil
 	}

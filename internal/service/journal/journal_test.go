@@ -300,6 +300,39 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
+// An append after Close fails with os.ErrClosed instead of writing to
+// the closed segment or, when the segment is over its rotation
+// threshold, rotating onto a new one.
+func TestAppendAfterClose(t *testing.T) {
+	for _, segCap := range []int{0, 1} {
+		j, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.SetSegmentCap(segCap)
+		if err := j.Append(jobRec(0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before, err := j.segments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(jobRec(1)); !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("segment cap %d: Append after Close: %v, want os.ErrClosed", segCap, err)
+		}
+		after, err := j.segments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(before) {
+			t.Fatalf("segment cap %d: Append after Close left %d segments, want %d", segCap, len(after), len(before))
+		}
+	}
+}
+
 // TestConcurrentCorruptionHammer is the journal's adversarial
 // integrity test: many goroutines append concurrently while byte
 // flips land in already-closed segments and replays run in parallel.
