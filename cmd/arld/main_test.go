@@ -180,9 +180,11 @@ func TestCoordinatorLeaseExpiry(t *testing.T) {
 	if _, err := cl.Submit(service.CampaignRequest{Workloads: []string{"li"}, Configs: []string{"(2+0)"}, MaxInsts: 20000}); err != nil {
 		t.Fatal(err)
 	}
-	lease := func() fleet.LeaseGrant {
+	// The expiry counter moves before the unit is requeued, so the
+	// lease after it waits on the queue for the regrant.
+	lease := func(waitMS int64) fleet.LeaseGrant {
 		t.Helper()
-		body, _ := json.Marshal(fleet.LeaseRequest{Worker: "probe"})
+		body, _ := json.Marshal(fleet.LeaseRequest{Worker: "probe", WaitMS: waitMS})
 		resp, err := http.Post(cl.Base+"/api/v1/lease", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -194,11 +196,11 @@ func TestCoordinatorLeaseExpiry(t *testing.T) {
 		}
 		return g
 	}
-	first := lease()
+	first := lease(0)
 	clitest.Eventually(t, "the unrenewed lease to expire", func() bool {
 		return clitest.Metric(cl.Base, "service_leases_expired_total{worker=probe}") >= 1
 	})
-	if again := lease(); again.Job != first.Job || again.Unit != first.Unit || again.Token <= first.Token {
+	if again := lease(10_000); again.Job != first.Job || again.Unit != first.Unit || again.Token <= first.Token {
 		t.Fatalf("regrant %+v after expiry, want unit %s[%d] under a newer token than %d",
 			again, first.Job, first.Unit, first.Token)
 	}

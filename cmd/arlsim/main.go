@@ -155,19 +155,18 @@ func traceRun(c *cliutil.Common, cfgName string) {
 	}
 
 	ring := obs.NewRing(c.TraceCap)
-	opts := []cpu.Option{cpu.WithTracer(ring)}
-	var reg *obs.Registry
-	if c.MetricsPath != "" {
-		reg = obs.NewRegistry()
-		opts = append(opts, cpu.WithMetrics(reg, nil))
-	}
-	sim, err := cpu.New(cfg, opts...)
+	sim, err := cpu.New(cfg, cpu.WithTracer(ring))
 	if err != nil {
 		c.Fatalf("%v", err)
 	}
 	res, err := sim.Run(tr)
 	if err != nil {
 		c.Fatalf("%v", err)
+	}
+	var reg *obs.Registry
+	if c.MetricsPath != "" {
+		reg = obs.NewRegistry()
+		res.Publish(reg, nil)
 	}
 
 	var buf bytes.Buffer

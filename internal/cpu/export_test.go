@@ -38,6 +38,7 @@ func (sm *Sim) RunEventsReversed(tr *Trace) (*Result, error) {
 			return nil, err
 		}
 		s.dispatch()
+		s.countOccupancy()
 	}
 	return s.result()
 }

@@ -58,9 +58,26 @@ func checkGolden(t *testing.T, name, got string) {
 
 // resultLine renders one Result as a golden line: the key counters in
 // clear text, then the SHA-256 of the JSON of the whole Result, so any
-// field that moves shows up even when the counters shown do not.
+// field that moves shows up even when the counters shown do not. It
+// also round-trips the Result through its packed codec, so every
+// result the goldens pin is one the artifact store gives back intact,
+// in at most 400 bytes.
 func resultLine(t *testing.T, label string, res *cpu.Result) string {
 	t.Helper()
+	packed, err := res.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(packed) > 400 {
+		t.Errorf("%s: packed result is %d bytes, want at most 400", label, len(packed))
+	}
+	back := new(cpu.Result)
+	if err := back.UnmarshalBinary(packed); err != nil {
+		t.Fatalf("%s: decoding the packed result: %v", label, err)
+	}
+	if !reflect.DeepEqual(back, res) {
+		t.Errorf("%s: packed result round trip:\n got %+v\nwant %+v", label, back, res)
+	}
 	b, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)

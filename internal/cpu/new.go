@@ -11,15 +11,12 @@ import (
 // instrumentation attached at construction. Build one with New, then
 // Run it over any number of traces — all mutable pipeline state lives
 // per Run call, so a Sim is reusable. Concurrent Run calls on one Sim
-// are safe only when the attached tracer and registry are (obs.Ring is
-// not; obs.Registry is).
+// are safe only when the attached tracer is (obs.Ring is not).
 type Sim struct {
 	cfg    Config
 	ctx    context.Context
 	faults MemFaulter
 	tracer obs.Tracer
-	reg    *obs.Registry
-	labels obs.Labels
 }
 
 // Option attaches instrumentation to a Sim.
@@ -49,16 +46,6 @@ func WithTracer(t obs.Tracer) Option {
 	}
 }
 
-// WithMetrics attaches a metrics registry: Run publishes the Result
-// counters (plus per-cycle LSQ/LVAQ occupancy histograms) there under
-// the given labels, extended with the workload and config names.
-func WithMetrics(r *obs.Registry, labels obs.Labels) Option {
-	return func(s *Sim) {
-		s.reg = r
-		s.labels = labels
-	}
-}
-
 // New builds a simulation from cfg; the configuration must validate.
 func New(cfg Config, opts ...Option) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
@@ -76,24 +63,30 @@ func (s *Sim) Config() Config { return s.cfg }
 
 // Run simulates trace tr on this machine. The trace is only read, so
 // one trace may back any number of concurrent Run calls.
-func (s *Sim) Run(tr *Trace) (*Result, error) {
-	res, err := s.run(tr)
+func (sm *Sim) Run(tr *Trace) (*Result, error) {
+	s, err := sm.newSimulator(tr)
 	if err != nil {
 		return nil, err
 	}
-	if s.reg != nil {
-		res.Publish(s.reg, s.labels)
-	}
-	return res, nil
+	return s.simulate()
 }
 
-// Publish copies the result's counters into r under the given labels,
-// extended with the workload and config names; call once per result.
+// Publish copies the result's counters and occupancy histograms into
+// reg under the given labels, extended with the workload and config
+// names; call once per result. It is the one place a simulation's
+// metrics come from, so a result read back from the artifact store
+// publishes exactly what the run that produced it would have.
 func (r *Result) Publish(reg *obs.Registry, labels obs.Labels) {
 	if reg == nil {
 		return
 	}
 	l := labels.With(obs.Labels{"workload": r.Name, "config": r.Config.Name})
+	if occ := r.Occupancy[0]; occ != nil {
+		reg.Hist("sim_lsq_occupancy", "LSQ entries per cycle", l).ObserveCounts(occ)
+	}
+	if occ := r.Occupancy[1]; occ != nil {
+		reg.Hist("sim_lvaq_occupancy", "LVAQ entries per cycle", l).ObserveCounts(occ)
+	}
 	reg.Counter("sim_cycles_total", "simulated cycles", l).Add(r.Cycles)
 	reg.Counter("sim_insts_total", "committed instructions", l).Add(r.Insts)
 	reg.Gauge("sim_ipc", "committed instructions per cycle", l).Set(r.IPC())

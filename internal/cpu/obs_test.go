@@ -241,19 +241,16 @@ func TestNopTracerStripped(t *testing.T) {
 	}
 }
 
-// TestRunPublishesMetrics: WithMetrics must surface the Result counters
-// and the per-cycle occupancy histograms in the registry.
+// TestRunPublishesMetrics: publishing a run's Result must surface its
+// counters and the per-cycle occupancy histograms in the registry.
 func TestRunPublishesMetrics(t *testing.T) {
 	tr := tenInstTrace(t, TraceOptions{})
 	reg := obs.NewRegistry()
-	sim, err := New(Decoupled(3, 3), WithMetrics(reg, obs.Labels{"suite": "test"}))
+	res, err := Simulate(tr, Decoupled(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res.Publish(reg, obs.Labels{"suite": "test"})
 	l := obs.Labels{"suite": "test", "workload": tr.Name, "config": "(3+3)"}
 	if got := reg.Counter("sim_cycles_total", "", l).Value(); got != res.Cycles {
 		t.Errorf("sim_cycles_total = %d, want %d", got, res.Cycles)

@@ -58,6 +58,14 @@ type Result struct {
 	VPUsed          uint64 // results supplied by the value predictor
 	StallROB        uint64 // dispatch cycles lost to a full ROB
 	StallQueue      uint64 // dispatch cycles lost to a full LSQ/LVAQ
+
+	// Occupancy holds the per-cycle occupancy histograms of the LSQ
+	// ([0]) and, on a decoupled machine, the LVAQ ([1]; nil otherwise):
+	// Occupancy[q][n] is the number of cycles that ended with n entries
+	// in the queue, up to the largest occupancy seen. Each histogram
+	// sums to Cycles. It stays out of the JSON form, which the result
+	// goldens and the service wire pin.
+	Occupancy [2][]uint64 `json:"-"`
 }
 
 // IPC reports committed instructions per cycle.
@@ -308,39 +316,28 @@ type simulator struct {
 	// trc is nil for uninstrumented runs: every emission site is behind
 	// a nil check, so the no-op path does no interface calls.
 	trc obs.Tracer
-
-	// Per-cycle occupancy histograms, nil without WithMetrics.
-	occLSQ  *occupancy
-	occLVAQ *occupancy
 }
 
-// occupancy counts a queue's per-cycle occupancy densely for one run
-// and merges the counts into its histogram once, when the run ends, so
-// the cycle loop takes no lock.
-type occupancy struct {
-	h      *obs.Hist
-	counts []uint64 // counts[n] = cycles that ended with n entries
-}
-
-func newOccupancy(h *obs.Hist, size int) *occupancy {
-	return &occupancy{h: h, counts: make([]uint64, size+1)}
-}
-
-// observe counts one cycle with n entries. Dispatch fills a queue only
-// to its size, but steering recovery moves entries in regardless, so
-// the counts grow on demand.
-func (o *occupancy) observe(n int) {
-	if n >= len(o.counts) {
-		o.counts = append(o.counts, make([]uint64, n+1-len(o.counts))...)
+// countOccupancy counts the cycle that just ended into the Result's
+// occupancy histograms. Every cycle loop calls it once per cycle, after
+// dispatch.
+func (s *simulator) countOccupancy() {
+	occ := &s.res.Occupancy
+	occ[0] = countCycle(occ[0], len(s.lsq.seqs))
+	if occ[1] != nil {
+		occ[1] = countCycle(occ[1], len(s.lvaq.seqs))
 	}
-	o.counts[n]++
 }
 
-// flush merges the run's counts into the histogram.
-func (o *occupancy) flush() {
-	if o != nil {
-		o.h.ObserveCounts(o.counts)
+// countCycle counts one cycle with n entries into counts. Dispatch
+// fills a queue only to its size, but steering recovery moves entries
+// in regardless, so the counts grow on demand.
+func countCycle(counts []uint64, n int) []uint64 {
+	if n >= len(counts) {
+		counts = append(counts, make([]uint64, n+1-len(counts))...)
 	}
+	counts[n]++
+	return counts
 }
 
 func (s *simulator) emit(seq int64, kind obs.EventKind, arg int64) {
@@ -369,17 +366,7 @@ func Simulate(tr *Trace, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sim.run(tr)
-}
-
-// run is the simulation engine behind Sim.Run (which adds metrics
-// publication on top).
-func (sm *Sim) run(tr *Trace) (*Result, error) {
-	s, err := sm.newSimulator(tr)
-	if err != nil {
-		return nil, err
-	}
-	return s.simulate()
+	return sim.Run(tr)
 }
 
 // newSimulator builds the per-run machine state for trace tr.
@@ -431,12 +418,9 @@ func (sm *Sim) newSimulator(tr *Trace) (*simulator, error) {
 	buckets := 1 << bits.Len(uint(horizon))
 	s.wheelMask = int64(buckets - 1)
 	s.wheel = make([]uint64, buckets*len(s.ready))
-	if sm.reg != nil {
-		l := sm.labels.With(obs.Labels{"workload": tr.Name, "config": cfg.Name})
-		s.occLSQ = newOccupancy(sm.reg.Hist("sim_lsq_occupancy", "LSQ entries per cycle", l), cfg.LSQSize)
-		if cfg.Decoupled() {
-			s.occLVAQ = newOccupancy(sm.reg.Hist("sim_lvaq_occupancy", "LVAQ entries per cycle", l), cfg.LVAQSize)
-		}
+	s.res.Occupancy[0] = make([]uint64, cfg.LSQSize+1)
+	if cfg.Decoupled() {
+		s.res.Occupancy[1] = make([]uint64, cfg.LVAQSize+1)
 	}
 	for i := range s.lastWriter {
 		s.lastWriter[i] = -1
@@ -449,8 +433,6 @@ func (s *simulator) simulate() (*Result, error) {
 	tr := s.tr
 	total := int64(len(tr.Insts))
 	idle := 0
-	defer s.occLSQ.flush()
-	defer s.occLVAQ.flush()
 	for s.headSeq < total {
 		s.now++
 		if s.ctx != nil && s.now&0x3FFF == 0 {
@@ -473,12 +455,7 @@ func (s *simulator) simulate() (*Result, error) {
 			return nil, err
 		}
 		d := s.dispatch()
-		if s.occLSQ != nil {
-			s.occLSQ.observe(len(s.lsq.seqs))
-			if s.occLVAQ != nil {
-				s.occLVAQ.observe(len(s.lvaq.seqs))
-			}
-		}
+		s.countOccupancy()
 		if c == 0 && i == 0 && d == 0 && s.pending == 0 {
 			idle++
 			if idle > 10_000 {
@@ -495,7 +472,8 @@ func (s *simulator) simulate() (*Result, error) {
 }
 
 // result completes the Result of a finished run and checks it with
-// drained.
+// drained and the occupancy law: every cycle was counted exactly once
+// into each histogram, which result trims to its largest occupancy.
 func (s *simulator) result() (*Result, error) {
 	s.res.Cycles = uint64(s.now)
 	s.res.Insts = uint64(s.headSeq)
@@ -510,6 +488,25 @@ func (s *simulator) result() (*Result, error) {
 	s.res.L2Stats = s.hier.L2().Stats()
 	if err := s.drained(); err != nil {
 		return nil, err
+	}
+	for q, mq := range []*memQueue{&s.lsq, &s.lvaq} {
+		counts := s.res.Occupancy[q]
+		if counts == nil {
+			continue
+		}
+		var sum uint64
+		last := 0
+		for n, c := range counts {
+			sum += c
+			if c != 0 {
+				last = n
+			}
+		}
+		if sum != s.res.Cycles {
+			return nil, fmt.Errorf("%w: %s occupancy counts %d cycles of %d",
+				ErrInvariant, mq.name, sum, s.res.Cycles)
+		}
+		s.res.Occupancy[q] = counts[:last+1]
 	}
 	return s.res, nil
 }

@@ -178,7 +178,7 @@ func TestKillResumeDifferential(t *testing.T) {
 	}
 	// With Parallel=1 the helper commits program, trace, then results
 	// per workload: three records guarantee at least one result record
-	// — the kind that carries a metrics fragment — is on disk.
+	// — the kind whose store hit publishes metrics — is on disk.
 	objects := filepath.Join(killedDir, "objects")
 	deadline := time.Now().Add(2 * time.Minute)
 	for len(storedPayloads(objects)) < 3 && time.Now().Before(deadline) {

@@ -14,7 +14,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -100,9 +99,9 @@ type Runner struct {
 	Store *store.Store
 	// Resume, with Store set, satisfies stage requests from verified
 	// store records before recomputing — the read side of crash
-	// recovery. Store hits replay the simulation's stored metrics
-	// fragment into Obs, so a resumed campaign's metrics artifact is
-	// identical to an uninterrupted run's.
+	// recovery. A simulation's store hit publishes the stored Result
+	// into Obs, as its run would have, so a resumed campaign's metrics
+	// artifact is identical to an uninterrupted run's.
 	Resume bool
 	// Retry paces re-attempts of failed stages (deterministic seeded
 	// backoff; see resilience.Retry). The zero value runs each stage
@@ -354,7 +353,11 @@ func (r *Runner) stage(wl, stage string, fn func(ctx context.Context) error) err
 //
 // v4: profiles carry the LVC statistics E8 reads — a v3 profile would
 // decode with a zero LVC.
-const storeVersion = "arl/v4"
+//
+// v5: a result record is the cpu.Result alone, in its packed codec,
+// with its occupancy histograms; metrics are published from it, and
+// the v4 record's JSON metrics fragment is gone.
+const storeVersion = "arl/v5"
 
 // storeKey builds the canonical store key for one artifact of this
 // runner's campaign (its scale and instruction budget are part of the
@@ -622,21 +625,6 @@ func (r *Runner) trace(w *workload.Workload, tag string,
 	})
 }
 
-// storedResult is the simulation artifact: the timing result plus the
-// metrics fragment that simulation published. Replaying the fragment
-// into Runner.Obs on a store hit reproduces exactly the samples a live
-// simulation would have contributed, which is what keeps a resumed
-// campaign's metrics artifact byte-identical to an uninterrupted one.
-//
-// The fragment travels as JSON, not gob: gob drops zero-valued fields,
-// so a counter sample holding a pointer to 0 would come back with a
-// nil value and the replay would lose every never-incremented series a
-// live run still registers.
-type storedResult struct {
-	Result  *cpu.Result
-	Metrics []byte // JSON-encoded []obs.Sample
-}
-
 // SimulateConfig simulates (and memoizes) one workload's default trace
 // under one machine configuration. The memo key covers every Config
 // field (cpu.Config.Key, not the display name), so e.g. the (3+3)
@@ -677,19 +665,9 @@ func (r *Runner) simulate(w *workload.Workload, cfg cpu.Config, tag string,
 	key := w.Name + "|" + cfgKey
 	return r.results.get(key, func() (*cpu.Result, error) {
 		skey := r.storeKey("result", w.Name, cfgKey)
-		var stored storedResult
-		if r.storeLoad(skey, &stored) && stored.Result != nil {
-			if r.Obs != nil && len(stored.Metrics) > 0 {
-				var samples []obs.Sample
-				err := json.Unmarshal(stored.Metrics, &samples)
-				if err == nil {
-					err = r.Obs.ImportSamples(samples)
-				}
-				if err != nil {
-					r.logf("store: replaying metrics of %s: %v", skey, err)
-				}
-			}
-			return stored.Result, nil
+		if stored := new(cpu.Result); r.storeLoad(skey, stored) {
+			stored.Publish(r.Obs, labels)
+			return stored, nil
 		}
 		tr, err := trace()
 		if err != nil {
@@ -697,18 +675,10 @@ func (r *Runner) simulate(w *workload.Workload, cfg cpu.Config, tag string,
 		}
 		r.logf("  %s %s ...", w.Name, what)
 		var res *cpu.Result
-		var frag *obs.Registry
 		err = r.stage(w.Name, stage, func(ctx context.Context) error {
-			// Each attempt publishes into a private registry so a
-			// failed attempt's partial metrics never leak into Obs or
-			// the store.
-			reg := obs.NewRegistry()
 			var simOpts []cpu.Option
 			if r.watched() {
 				simOpts = append(simOpts, cpu.WithContext(ctx))
-			}
-			if r.Obs != nil || r.Store != nil {
-				simOpts = append(simOpts, cpu.WithMetrics(reg, labels))
 			}
 			sim, err := cpu.New(cfg, simOpts...)
 			if err != nil {
@@ -720,27 +690,15 @@ func (r *Runner) simulate(w *workload.Workload, cfg cpu.Config, tag string,
 				return err
 			}
 			r.noteSim(w.Name, res.Cycles, time.Since(start)) //arlvet:allow wallclock RunStats measures harness cost; wall time never reaches simulation results
-			frag = reg
 			return nil
 		})
 		if err != nil {
 			return nil, &WorkloadError{Workload: w.Name, Stage: stage, Err: err}
 		}
-		var fragJSON []byte
-		if frag != nil {
-			samples := frag.Snapshot()
-			if r.Obs != nil {
-				if err := r.Obs.ImportSamples(samples); err != nil {
-					r.logf("obs: publishing %s %s: %v", w.Name, what, err)
-				}
-			}
-			var err error
-			if fragJSON, err = json.Marshal(samples); err != nil {
-				r.logf("obs: encoding metrics of %s %s: %v", w.Name, what, err)
-				fragJSON = nil
-			}
-		}
-		r.storePut(skey, storedResult{Result: res, Metrics: fragJSON})
+		// Only a successful attempt gets here, so a failed one
+		// publishes nothing.
+		res.Publish(r.Obs, labels)
+		r.storePut(skey, res)
 		return res, nil
 	})
 }

@@ -342,8 +342,8 @@ func labelText(labels map[string]string) string {
 // importBuckets folds another histogram's buckets into h. Bucket
 // values are integers, so the running sum stays exact under float64
 // regardless of merge order (every partial sum is an integer far
-// below 2^53) — merging a stored fragment reproduces the sum a live
-// run would have accumulated, bit for bit.
+// below 2^53) — merging a snapshot reproduces the sum the source
+// registry accumulated, bit for bit.
 func (h *Hist) importBuckets(buckets []Bucket) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -357,12 +357,10 @@ func (h *Hist) importBuckets(buckets []Bucket) {
 	}
 }
 
-// ImportSamples merges a snapshot — typically a per-simulation metrics
-// fragment loaded back from the artifact store — into the registry:
-// counters add their value, gauges set it, histograms accumulate
-// buckets. This is what makes a resumed campaign's metrics artifact
-// identical to an uninterrupted run's: a result replayed from disk
-// re-publishes exactly the samples its original simulation produced.
+// ImportSamples merges a snapshot — such as a copy of another
+// registry's state — into the registry: counters add their value,
+// gauges set it, histograms accumulate buckets, so importing a
+// snapshot into a fresh registry reproduces the source's samples.
 // Malformed samples return an error (nothing before them is rolled
 // back); a name already registered under a different type panics,
 // like the handle getters.

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -249,7 +250,16 @@ func TestSimulateUnitHonoursARPT(t *testing.T) {
 	if want.ARPTMispredicts == def.ARPTMispredicts {
 		t.Fatalf("arpt=16 and the default ARPT both mispredict %d times: the test cannot tell them apart", def.ARPTMispredicts)
 	}
-	if !reflect.DeepEqual(got[0], want) {
+	// The wire carries a Result's JSON form, so that is what must agree.
+	gotJSON, err := json.Marshal(got[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Fatalf("simulate unit with arpt=16: %d ARPT mispredicts, want %d (default ARPT: %d)",
 			got[0].ARPTMispredicts, want.ARPTMispredicts, def.ARPTMispredicts)
 	}

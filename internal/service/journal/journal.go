@@ -225,17 +225,22 @@ func (j *Journal) rotateLocked(n int) error {
 	return nil
 }
 
-// Append journals one record: frame, checksum, write, and fsync before
-// returning, so a record Append accepted survives a crash an instant
-// later. An append error leaves the journal usable — the next append
-// re-synchronizes onto a fresh line — but the failed record is lost
-// and the caller should surface that.
-func (j *Journal) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: encoding record: %w", err)
+// Append journals records: frame and checksum each, write them all
+// with one write, and fsync once before returning, so records Append
+// accepted survive a crash an instant later. Records that must become
+// durable together (a job's last unit event and its end record) share
+// that one fsync. An append error leaves the journal usable — the next
+// append re-synchronizes onto a fresh line — but the failed records
+// are lost and the caller should surface that.
+func (j *Journal) Append(recs ...Record) error {
+	var lines []byte
+	for _, rec := range recs {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("journal: encoding record: %w", err)
+		}
+		lines = fmt.Appendf(lines, "%s%08x %d %s\n", recPrefix, crc32.Checksum(payload, crcTable), len(payload), payload)
 	}
-	line := fmt.Sprintf("%s%08x %d %s\n", recPrefix, crc32.Checksum(payload, crcTable), len(payload), payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -253,14 +258,14 @@ func (j *Journal) Append(rec Record) error {
 	}
 	if j.dirty {
 		// A previous append failed partway; terminate its debris so
-		// this record starts on a fresh line. Best effort: if this
+		// these records start on a fresh line. Best effort: if this
 		// write fails too the journal just stays dirty.
 		if _, err := j.active.Write([]byte{'\n'}); err != nil {
 			return fmt.Errorf("journal: resynchronizing after failed append: %w", err)
 		}
 		j.dirty = false
 	}
-	if _, err := j.active.Write([]byte(line)); err != nil {
+	if _, err := j.active.Write(lines); err != nil {
 		j.dirty = true
 		return fmt.Errorf("journal: appending: %w", err)
 	}
@@ -270,8 +275,8 @@ func (j *Journal) Append(rec Record) error {
 		// framing is intact, so no resync is needed.
 		return fmt.Errorf("journal: syncing: %w", err)
 	}
-	j.size += len(line)
-	j.appends++
+	j.size += len(lines)
+	j.appends += len(recs)
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/store"
 	"repro/internal/store/faultfs"
 )
 
@@ -57,6 +58,73 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if stats.Corrupt != 0 || stats.Torn != 0 {
 		t.Fatalf("clean journal replayed with corrupt=%d torn=%d", stats.Corrupt, stats.Torn)
 	}
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, _ := json.Marshal(got[i])
+		w, _ := json.Marshal(want[i])
+		if string(g) != string(w) {
+			t.Fatalf("record %d = %s, want %s", i, g, w)
+		}
+	}
+}
+
+// countingFS counts the writes and fsyncs made through the segment
+// handles it opens.
+type countingFS struct {
+	store.FS
+	writes, syncs int
+}
+
+func (c *countingFS) OpenAppend(path string, perm os.FileMode) (store.File, error) {
+	f, err := c.FS.OpenAppend(path, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{File: f, fs: c}, nil
+}
+
+type countingFile struct {
+	store.File
+	fs *countingFS
+}
+
+func (f *countingFile) Write(p []byte) (int, error) { f.fs.writes++; return f.File.Write(p) }
+func (f *countingFile) Sync() error                 { f.fs.syncs++; return f.File.Sync() }
+
+// TestAppendBatchOneWriteOneSync: records passed to one Append reach
+// the segment in one write under one fsync, replay in order, and each
+// counts in Appends.
+func TestAppendBatchOneWriteOneSync(t *testing.T) {
+	fs := &countingFS{FS: store.OS()}
+	dir := t.TempDir()
+	j, err := OpenFS(fs, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{
+		{T: TypeEvent, Job: "c0000", Seq: 7, Unit: 3, State: "done", Result: json.RawMessage(`{"ipc":2}`)},
+		{T: TypeEnd, Job: "c0000", State: "complete"},
+	}
+	writes, syncs := fs.writes, fs.syncs // the segment header
+	if err := j.Append(want...); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := fs.writes-writes, fs.syncs-syncs; w != 1 || s != 1 {
+		t.Fatalf("a two-record Append made %d writes and %d fsyncs, want 1 and 1", w, s)
+	}
+	if n := j.Appends(); n != len(want) {
+		t.Fatalf("Appends() = %d, want %d", n, len(want))
+	}
+	j.Close()
+
+	j2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	got, _ := collect(t, j2)
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(want))
 	}

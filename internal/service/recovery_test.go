@@ -7,8 +7,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,11 +24,17 @@ import (
 // can observe the not-ready window.
 func journaledService(t *testing.T, dir string, cfg Config) (*Service, *Client) {
 	t.Helper()
+	return journaledServiceFS(t, store.OS(), dir, cfg)
+}
+
+// journaledServiceFS is journaledService with the journal on fs.
+func journaledServiceFS(t *testing.T, fs store.FS, dir string, cfg Config) (*Service, *Client) {
+	t.Helper()
 	st, err := store.Open(filepath.Join(dir, "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jrn, err := journal.Open(filepath.Join(dir, "journal"))
+	jrn, err := journal.OpenFS(fs, filepath.Join(dir, "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +47,71 @@ func journaledService(t *testing.T, dir string, cfg Config) (*Service, *Client) 
 	t.Cleanup(srv.Close)
 	t.Cleanup(svc.Drain)
 	return svc, &Client{Base: srv.URL, Tenant: "test"}
+}
+
+// syncCountingFS counts the fsyncs made through the files it opens.
+type syncCountingFS struct {
+	store.FS
+	syncs atomic.Int64
+}
+
+func (c *syncCountingFS) OpenAppend(path string, perm os.FileMode) (store.File, error) {
+	f, err := c.FS.OpenAppend(path, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncCountingFile{File: f, syncs: &c.syncs}, nil
+}
+
+type syncCountingFile struct {
+	store.File
+	syncs *atomic.Int64
+}
+
+func (f syncCountingFile) Sync() error { f.syncs.Add(1); return f.File.Sync() }
+
+// TestFinishJournalsEndWithLastEvent: a finished job's last unit event
+// and its end record share one fsync, and replay sees the end record
+// right after that event.
+func TestFinishJournalsEndWithLastEvent(t *testing.T) {
+	dir := t.TempDir()
+	fs := &syncCountingFS{FS: store.OS()}
+	svc, cl := journaledServiceFS(t, fs, dir, Config{Workers: 2})
+	if _, err := svc.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	before := fs.syncs.Load()
+	resp, err := cl.Run(CampaignRequest{MaxInsts: testMaxInsts,
+		Workloads: []string{"130.li"}, Configs: []string{"(2+0)", "(3+3)"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One job record, then a running and a done event per unit, then
+	// the end record.
+	records := int64(1 + 2*len(resp.Units) + 1)
+	if n := int64(svc.jrn.Appends()); n != records {
+		t.Fatalf("journal holds %d records, want %d", n, records)
+	}
+	if syncs := fs.syncs.Load() - before; syncs != records-1 {
+		t.Fatalf("%d records took %d fsyncs, want %d: the end record should share the last event's", records, syncs, records-1)
+	}
+
+	jrn, err := journal.Open(filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jrn.Close()
+	var recs []journal.Record
+	if _, err := jrn.Replay(func(r journal.Record) { recs = append(recs, r) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 2 {
+		t.Fatalf("replayed %d records", len(recs))
+	}
+	last, end := recs[len(recs)-2], recs[len(recs)-1]
+	if last.T != journal.TypeEvent || last.State != StateDone || end.T != journal.TypeEnd || end.State != JobComplete {
+		t.Fatalf("journal ends %+v, %+v; want the last done event, then the end record", last, end)
+	}
 }
 
 func getStatus(t *testing.T, base, path string) int {

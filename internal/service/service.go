@@ -571,16 +571,17 @@ func (s *Service) transition(u *unit, state string, l *fleet.Lease) error {
 }
 
 // journalEventLocked appends one event record to the journal, with
-// the grant's token and worker when l is non-nil. Called under the
-// job's mu: the journal must record events in the same order their
-// sequence numbers were assigned, and the event only becomes visible
-// to streamers when that mu is released — so writing inside the lock
-// is what makes "journaled" and "observable" atomic. An append failure
+// the grant's token and worker when l is non-nil, followed by any more
+// records in the same write and fsync. Called under the job's mu: the
+// journal must record events in the same order their sequence numbers
+// were assigned, and the event only becomes visible to streamers when
+// that mu is released — so writing inside the lock is what makes
+// "journaled" and "observable" atomic. An append failure
 // is counted, logged and returned; only a grant treats it as fatal.
 // Any other event still flows to live subscribers; a crash before the
 // next successful append would replay the unit from its previous
 // state, and the store memo absorbs the recompute.
-func (s *Service) journalEventLocked(e Event, result json.RawMessage, l *fleet.Lease) error {
+func (s *Service) journalEventLocked(e Event, result json.RawMessage, l *fleet.Lease, more ...journal.Record) error {
 	if s.jrn == nil {
 		return nil
 	}
@@ -592,10 +593,10 @@ func (s *Service) journalEventLocked(e Event, result json.RawMessage, l *fleet.L
 		rec.Token, rec.Worker = l.Token, l.Worker
 	}
 	//arlvet:allow lockheld WAL ordering: the journal must see events in seq order, which only holding the job mu guarantees
-	err := s.jrn.Append(rec)
+	err := s.jrn.Append(append([]journal.Record{rec}, more...)...)
 	if err != nil {
 		s.counter("service_journal_errors_total", "journal appends that failed", nil).Inc()
-		s.logf("journal: event %s/%d: %v", e.Job, e.Seq, err)
+		s.logf("journal: event %s/%d (+%d records): %v", e.Job, e.Seq, len(more), err)
 	}
 	return err
 }
@@ -614,11 +615,8 @@ func (s *Service) finish(u *unit, state, errText string, result json.RawMessage)
 		j.deduped++
 	}
 	e := j.emitLocked(Event{Job: j.id, Unit: u.index, State: state, Deduped: u.deduped, Error: errText})
-	// The result payload rides in the journal record (not the event
-	// wire form), so /results serves finished units after a restart
-	// without re-executing them.
-	s.journalEventLocked(e, result, nil)
 	terminal := j.settledLocked()
+	var end []journal.Record
 	if terminal && !j.finished {
 		j.finished = true
 		switch {
@@ -629,14 +627,13 @@ func (s *Service) finish(u *unit, state, errText string, result json.RawMessage)
 		default:
 			j.state = j.outcomeLocked()
 		}
-		if s.jrn != nil {
-			//arlvet:allow lockheld the end record must be ordered after the final unit event, which this mu serializes
-			if err := s.jrn.Append(journal.Record{T: journal.TypeEnd, Job: j.id, State: j.state}); err != nil {
-				s.counter("service_journal_errors_total", "journal appends that failed", nil).Inc()
-				s.logf("journal: end %s: %v", j.id, err)
-			}
-		}
+		end = append(end, journal.Record{T: journal.TypeEnd, Job: j.id, State: j.state})
 	}
+	// The result payload rides in the journal record (not the event
+	// wire form), so /results serves finished units after a restart
+	// without re-executing them. The last unit's event and the job's
+	// end record share one write and fsync, the end record second.
+	s.journalEventLocked(e, result, nil, end...)
 	final := j.state
 	j.mu.Unlock()
 
