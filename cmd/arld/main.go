@@ -15,8 +15,8 @@
 //
 // When -store-dir is set, arld also keeps a write-ahead job journal
 // under <store-dir>/journal (override with -journal-dir): every
-// accepted job and unit state transition is logged before it becomes
-// visible, and a restart replays the journal — finished work is served
+// accepted job and unit state transition is logged before any client
+// or worker can see it, and a restart replays the journal — finished work is served
 // from the record, incomplete units are re-enqueued — so a kill -9
 // mid-campaign loses nothing. /readyz reports 503 until the replay
 // finishes. -store-faults injects a deterministic storage-fault plan
