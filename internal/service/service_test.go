@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/service/fleet"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -456,5 +459,151 @@ func TestCancelDuringAttemptStopsRetries(t *testing.T) {
 	defer mu.Unlock()
 	if attempts != 1 {
 		t.Fatalf("%d attempts ran, want 1: cancellation must not trigger retries", attempts)
+	}
+}
+
+// leaseAndComplete leases the next queued unit to a remote worker and
+// completes it done with result, returning the grant.
+func leaseAndComplete(t *testing.T, svc *Service, result json.RawMessage) *fleet.LeaseGrant {
+	t.Helper()
+	g, err := svc.lease(context.Background(), "remote", 0, false)
+	if err != nil || g == nil {
+		t.Fatalf("lease: grant %+v, err %v", g, err)
+	}
+	if _, err := svc.completeLease(g.LeaseID, fleet.CompleteRequest{
+		Worker: "remote", Token: g.Token, State: StateDone, Result: result,
+	}); err != nil {
+		t.Fatalf("complete %s[%d]: %v", g.Job, g.Unit, err)
+	}
+	return g
+}
+
+// A job mixing finished keys with new ones is answered in part at
+// admission: its first status already counts the finished units done
+// and deduped, and only the new unit is queued and leased.
+func TestAdmissionAnswersFinishedUnits(t *testing.T) {
+	svc, _, _ := testService(t, Config{CoordinatorOnly: true}, false)
+	a, b := cpu.Conventional(2, 2), cpu.Decoupled(3, 3)
+	canned := json.RawMessage(`{"cycles":7}`)
+	if _, err := svc.Submit(CampaignRequest{Units: []UnitSpec{{Kind: KindSimulate, Workload: "li", Config: &a}}}); err != nil {
+		t.Fatal(err)
+	}
+	leaseAndComplete(t, svc, canned)
+
+	st, err := svc.Submit(CampaignRequest{Units: []UnitSpec{
+		{Kind: KindSimulate, Workload: "li", Config: &a},
+		{Kind: KindSimulate, Workload: "li", Config: &b},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateRunning || st.Done != 1 || st.Deduped != 1 || st.Queued != 1 {
+		t.Fatalf("first status %+v, want 1 done and deduped, 1 queued", st)
+	}
+	if g := leaseAndComplete(t, svc, canned); g.Job != st.ID || g.Unit != 1 {
+		t.Fatalf("leased %s[%d], want the new unit %s[1]", g.Job, g.Unit, st.ID)
+	}
+	if g, err := svc.lease(context.Background(), "remote", 0, false); g != nil || err != nil {
+		t.Fatalf("a second lease found %+v, %v; want an empty queue", g, err)
+	}
+	j, _ := svc.Job(st.ID)
+	res := svc.results(j)
+	if res.Status.State != JobComplete || !res.Units[0].Deduped || !bytes.Equal(res.Units[0].Result, canned) {
+		t.Fatalf("results %+v, want complete with unit 0 answered by the first job's result", res)
+	}
+	if n := counterValue(svc.Registry(), "service_leases_granted_total"); n != 2 {
+		t.Fatalf("granted %d leases, want 2", n)
+	}
+}
+
+// A resubmission every unit of which has finished needs no worker, so
+// neither a full queue nor QueueCap smaller than the grid refuses it.
+func TestAdmissionAcceptsFinishedGridOverQueueCap(t *testing.T) {
+	svc, _, _ := testService(t, Config{CoordinatorOnly: true, QueueCap: 1, TenantCap: 10}, false)
+	a, b, c := cpu.Conventional(2, 2), cpu.Decoupled(3, 3), cpu.Decoupled(2, 2)
+	grid := []UnitSpec{
+		{Kind: KindSimulate, Workload: "li", Config: &a},
+		{Kind: KindSimulate, Workload: "li", Config: &b},
+	}
+	for _, u := range grid {
+		if _, err := svc.Submit(CampaignRequest{Units: []UnitSpec{u}}); err != nil {
+			t.Fatal(err)
+		}
+		leaseAndComplete(t, svc, json.RawMessage(`{"cycles":7}`))
+	}
+	if _, err := svc.Submit(CampaignRequest{Units: []UnitSpec{{Kind: KindSimulate, Workload: "li", Config: &c}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(CampaignRequest{Units: []UnitSpec{{Kind: KindSimulate, Workload: "go", Config: &c}}}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("a new unit over the full queue: err = %v, want ErrQueueFull", err)
+	}
+	st, err := svc.Submit(CampaignRequest{Units: grid})
+	if err != nil {
+		t.Fatalf("finished grid over the full queue: %v", err)
+	}
+	if st.State != JobComplete || st.Done != 2 || st.Deduped != 2 {
+		t.Fatalf("finished grid's reply %+v, want complete with 2 done and deduped", st)
+	}
+}
+
+// A duplicate of a key that is leased but not finished is not answered
+// at admission: it is queued, leased, and counted deduped at the grant.
+func TestAdmissionQueuesInFlightDuplicate(t *testing.T) {
+	svc, _, _ := testService(t, Config{CoordinatorOnly: true}, false)
+	a := cpu.Conventional(2, 2)
+	req := CampaignRequest{Units: []UnitSpec{{Kind: KindSimulate, Workload: "li", Config: &a}}}
+	if _, err := svc.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	first, err := svc.lease(context.Background(), "remote", 0, false)
+	if err != nil || first == nil {
+		t.Fatalf("lease: grant %+v, err %v", first, err)
+	}
+	st, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Done != 0 || st.Queued != 1 {
+		t.Fatalf("duplicate's status %+v, want 1 queued", st)
+	}
+	if n := counterValue(svc.Registry(), "service_units_deduped_total"); n != 0 {
+		t.Fatalf("deduped %d units before the duplicate's grant, want 0", n)
+	}
+	if g := leaseAndComplete(t, svc, json.RawMessage(`{"cycles":7}`)); g.Job != st.ID {
+		t.Fatalf("leased %s, want the duplicate's job %s", g.Job, st.ID)
+	}
+	if n := counterValue(svc.Registry(), "service_units_deduped_total"); n != 1 {
+		t.Fatalf("deduped %d units after the duplicate's grant, want 1", n)
+	}
+	j, _ := svc.Job(st.ID)
+	if res := svc.results(j); res.Status.State != JobComplete || !res.Units[0].Deduped {
+		t.Fatalf("duplicate's results %+v, want complete and deduped", res)
+	}
+}
+
+// A remote done completion with an empty result is stored as null, and
+// a null result answers nothing: a later unit with its key is leased.
+func TestAdmissionIgnoresEmptyResult(t *testing.T) {
+	svc, _, _ := testService(t, Config{CoordinatorOnly: true}, false)
+	a := cpu.Conventional(2, 2)
+	req := CampaignRequest{Units: []UnitSpec{{Kind: KindSimulate, Workload: "li", Config: &a}}}
+	first, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaseAndComplete(t, svc, nil)
+	j, _ := svc.Job(first.ID)
+	if res := svc.results(j); string(res.Units[0].Result) != "null" {
+		t.Fatalf("empty remote result stored as %q, want null", res.Units[0].Result)
+	}
+	st, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Done != 0 || st.Queued != 1 {
+		t.Fatalf("resubmission's status %+v, want 1 queued", st)
+	}
+	if g := leaseAndComplete(t, svc, json.RawMessage(`{"cycles":7}`)); g.Job != st.ID {
+		t.Fatalf("leased %s, want the resubmission %s", g.Job, st.ID)
 	}
 }
