@@ -338,9 +338,11 @@ func (r *Runner) stage(wl, stage string, fn func(ctx context.Context) error) err
 	return err
 }
 
-// storeVersion names the producing code version inside store keys, so
+// StoreVersion names the producing code version inside store keys, so
 // records written by an incompatible pipeline never alias current
-// ones. Bump whenever compilation, profiling, tracing or simulation
+// ones; the service journals it with each job, so a replayed result
+// answers new work only under the version that produced it. Bump
+// whenever compilation, profiling, tracing or simulation
 // semantics change.
 //
 // v2: configs key on cpu.Config.Key() (full-field, Stringer-proof),
@@ -357,7 +359,7 @@ func (r *Runner) stage(wl, stage string, fn func(ctx context.Context) error) err
 // v5: a result record is the cpu.Result alone, in its packed codec,
 // with its occupancy histograms; metrics are published from it, and
 // the v4 record's JSON metrics fragment is gone.
-const storeVersion = "arl/v5"
+const StoreVersion = "arl/v5"
 
 // storeKey builds the canonical store key for one artifact of this
 // runner's campaign (its scale and instruction budget are part of the
@@ -369,7 +371,7 @@ func (r *Runner) storeKey(kind, wl, config string) store.Key {
 		Scale:    r.Scale,
 		MaxInsts: r.MaxInsts,
 		Config:   config,
-		Version:  storeVersion,
+		Version:  StoreVersion,
 	}
 }
 

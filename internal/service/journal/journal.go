@@ -104,10 +104,12 @@ type Record struct {
 	T   string `json:"t"`
 	Job string `json:"job"`
 
-	// TypeJob fields.
+	// TypeJob fields. Version names the code version that produces the
+	// job's results (experiments.StoreVersion).
 	Tenant  string          `json:"tenant,omitempty"`
 	IdemKey string          `json:"idem,omitempty"`
 	Req     json.RawMessage `json:"req,omitempty"`
+	Version string          `json:"version,omitempty"`
 
 	// TypeEvent fields.
 	Seq     int             `json:"seq,omitempty"`
