@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/cache"
@@ -58,14 +59,51 @@ type Config struct {
 // internal/service inverts it.
 func (c Config) String() string { return c.Name }
 
-// configKey is Config without the Stringer, so %+v renders every
-// field rather than collapsing to the name.
-type configKey Config
-
 // Key returns a full-field rendering of the configuration for memo
 // and store keys: unlike Name it distinguishes configs that differ in
-// any field, and unlike %+v on Config it does not collapse to String.
-func (c Config) Key() string { return fmt.Sprintf("%+v", configKey(c)) }
+// any field. Its bytes are exactly fmt's %+v of the struct without its
+// String method, under which every store and journal key was written;
+// a test holds the two renderings equal, and fails when a field of
+// Config or cache.PartitionConfig is added until Key renders it.
+func (c Config) Key() string {
+	b := make([]byte, 0, 320)
+	b = append(b, "{Name:"...)
+	b = append(b, c.Name...)
+	b = appendField(b, " IssueWidth:", c.IssueWidth)
+	b = appendField(b, " ROBSize:", c.ROBSize)
+	b = appendField(b, " LSQSize:", c.LSQSize)
+	b = appendField(b, " LVAQSize:", c.LVAQSize)
+	b = append(b, " Partitions:["...)
+	for i, p := range c.Partitions {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, "{Name:"...)
+		b = append(b, p.Name...)
+		b = appendField(b, " SizeBytes:", p.SizeBytes)
+		b = appendField(b, " LineBytes:", p.LineBytes)
+		b = appendField(b, " Assoc:", p.Assoc)
+		b = appendField(b, " HitLatency:", p.HitLatency)
+		b = appendField(b, " Ports:", p.Ports)
+		b = append(b, '}')
+	}
+	b = append(b, "] SteerPolicy:"...)
+	b = append(b, c.SteerPolicy...)
+	b = appendField(b, " IntALU:", c.IntALU)
+	b = appendField(b, " FPALU:", c.FPALU)
+	b = appendField(b, " IntMulDiv:", c.IntMulDiv)
+	b = appendField(b, " FPMulDiv:", c.FPMulDiv)
+	b = appendField(b, " MispredictPenalty:", c.MispredictPenalty)
+	b = append(b, " FastForward:"...)
+	b = strconv.AppendBool(b, c.FastForward)
+	b = append(b, '}')
+	return string(b)
+}
+
+// appendField appends one integer field of Key's rendering.
+func appendField(b []byte, name string, v int) []byte {
+	return strconv.AppendInt(append(b, name...), int64(v), 10)
+}
 
 // Decoupled reports whether the configuration runs two memory
 // pipelines.

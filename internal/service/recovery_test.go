@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +19,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/experiments"
+	"repro/internal/service/fleet"
 	"repro/internal/service/journal"
 	"repro/internal/store"
 )
@@ -661,5 +664,177 @@ func TestSlowEventSubscriberDropped(t *testing.T) {
 	got, err := cl.Status(status.ID)
 	if err != nil || got.Failed == 0 {
 		t.Fatalf("service wedged after dropping slow subscriber: %+v, %v", got, err)
+	}
+}
+
+// TestRecoverIgnoresSegmentCopies: a copy of a journal segment kept
+// beside it (an operator's backup, or the same number unpadded) is not
+// replayed as the segment, so the job whose events live there recovers
+// with each event once and its Deduped count unchanged.
+func TestRecoverIgnoresSegmentCopies(t *testing.T) {
+	req := CampaignRequest{MaxInsts: testMaxInsts, Workloads: []string{"130.li"}, Configs: []string{"(2+0)", "(3+3)"}}
+	reqEnc, _ := json.Marshal(req)
+	result := json.RawMessage(`{"forged":true}`)
+	forge := func(t *testing.T, copies ...string) string {
+		dir := t.TempDir()
+		jrn, err := journal.Open(filepath.Join(dir, "journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jrn.SetSegmentCap(1) // each batch after the first starts a segment
+		for _, batch := range [][]journal.Record{
+			{{T: journal.TypeJob, Job: "c0001", Tenant: "test", Req: reqEnc, Version: experiments.StoreVersion}},
+			{
+				{T: journal.TypeEvent, Job: "c0001", Seq: 0, Unit: 0, State: StateDone, Deduped: true, Result: result},
+				{T: journal.TypeEvent, Job: "c0001", Seq: 1, Unit: 1, State: StateDone, Deduped: true, Result: result},
+			},
+			{{T: journal.TypeEnd, Job: "c0001", State: JobComplete}},
+		} {
+			if err := appendSync(jrn, batch...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		jrn.Close()
+		seg1 := filepath.Join(dir, "journal", "seg-00000001.wal")
+		data, err := os.ReadFile(seg1)
+		if err != nil || bytes.Count(data, []byte(`"t":"event"`)) != 2 {
+			t.Fatalf("segment 1 = %q (%v), want the two events", data, err)
+		}
+		for _, name := range copies {
+			if err := os.WriteFile(filepath.Join(dir, "journal", name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	recovered := func(t *testing.T, dir string) ([]Event, JobStatus) {
+		svc, _ := journaledService(t, dir, Config{CoordinatorOnly: true})
+		if _, err := svc.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		j, ok := svc.Job("c0001")
+		if !ok {
+			t.Fatal("job c0001 not recovered")
+		}
+		events, _, _ := j.eventsFrom(0)
+		return events, svc.status(j)
+	}
+	wantEvents, wantStatus := recovered(t, forge(t))
+	if len(wantEvents) != 2 || wantStatus.Deduped != 2 || wantStatus.State != JobComplete {
+		t.Fatalf("clean journal recovered %+v, status %+v", wantEvents, wantStatus)
+	}
+	gotEvents, gotStatus := recovered(t, forge(t, "seg-00000001.wal.bak", "seg-1.wal"))
+	if !reflect.DeepEqual(gotEvents, wantEvents) || gotStatus != wantStatus {
+		t.Fatalf("with segment copies: events %+v, status %+v; want %+v, %+v",
+			gotEvents, gotStatus, wantEvents, wantStatus)
+	}
+}
+
+// TestRemoteResultCompactedOnce: a fleet completion whose result holds
+// spaces and newlines is compacted where it enters the service. It is
+// journaled as one line, replays to the compact bytes, and reads back
+// from /results as the same cpu.Result.
+func TestRemoteResultCompactedOnce(t *testing.T) {
+	dir := t.TempDir()
+	svc, cl := journaledService(t, dir, Config{CoordinatorOnly: true})
+	if _, err := svc.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Submit(CampaignRequest{MaxInsts: testMaxInsts, Workloads: []string{"130.li"}, Configs: []string{"(2+0)"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g fleet.LeaseGrant
+	if code := postJSON(t, cl.Base+"/api/v1/lease", fleet.LeaseRequest{Worker: "w"}, &g); code != http.StatusOK {
+		t.Fatalf("lease: HTTP %d", code)
+	}
+	want := cpu.Result{Config: cpu.Decoupled(3, 3), Name: "130.li", Cycles: 1<<40 + 7, Insts: 12345, Forwards: 3}
+	indented, _ := json.MarshalIndent(want, "", "  ")
+	compact, _ := json.Marshal(want)
+	// Built by hand: json.Marshal of a CompleteRequest would compact
+	// the result on the client side.
+	body := fmt.Sprintf(`{"worker":"w","token":%d,"state":"done","result":%s}`, g.Token, indented)
+	resp, err := http.Post(cl.Base+"/api/v1/lease/"+g.LeaseID+"/complete", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("complete: HTTP %d", resp.StatusCode)
+	}
+	if _, err := cl.Wait(st.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	segs, _ := filepath.Glob(filepath.Join(dir, "journal", "seg-*.wal"))
+	var done []string
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.Contains(line, `"state":"done"`) {
+				done = append(done, line)
+			}
+		}
+	}
+	if len(done) != 1 || !strings.HasSuffix(done[0], `,"result":`+string(compact)+"}") {
+		t.Fatalf("done event lines %q, want one ending in the compact result %s", done, compact)
+	}
+
+	var replayed []json.RawMessage
+	if _, err := svc.jrn.Replay(func(r journal.Record) {
+		if r.State == StateDone {
+			replayed = append(replayed, r.Result)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) != 1 || !bytes.Equal(replayed[0], compact) {
+		t.Fatalf("replayed results %q, want %s", replayed, compact)
+	}
+
+	res, err := cl.Results(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got cpu.Result
+	if err := json.Unmarshal(res.Units[0].Result, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/results decodes to %+v, want %+v", got, want)
+	}
+}
+
+// TestRecoverNumbersPastFiveDigitIDs: job IDs outgrow their four-digit
+// padding after c9999, and Recover reads the whole number, so a job
+// submitted after the restart gets the next ID instead of reusing one.
+func TestRecoverNumbersPastFiveDigitIDs(t *testing.T) {
+	dir := t.TempDir()
+	req := CampaignRequest{MaxInsts: testMaxInsts, Workloads: []string{"130.li"}, Configs: []string{"(2+0)"}}
+	reqEnc, _ := json.Marshal(req)
+	jrn, err := journal.Open(filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendSync(jrn,
+		journal.Record{T: journal.TypeJob, Job: "c9999", Tenant: "test", Req: reqEnc},
+		journal.Record{T: journal.TypeJob, Job: "c10000", Tenant: "test", Req: reqEnc},
+	); err != nil {
+		t.Fatal(err)
+	}
+	jrn.Close()
+	svc, _ := journaledService(t, dir, Config{CoordinatorOnly: true})
+	if _, err := svc.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "c10001" {
+		t.Fatalf("job submitted after recovery is %s, want c10001", st.ID)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1073,9 +1075,10 @@ func (s *Service) Recover() (RecoverStats, error) {
 			s.idem[tenant+"\x00"+rj.rec.IdemKey] = j
 		}
 		s.jobs[id] = j
-		var num int
-		if _, err := fmt.Sscanf(id, "c%04d", &num); err == nil && num > s.nextJob {
-			s.nextJob = num
+		if digits, ok := strings.CutPrefix(id, "c"); ok {
+			if num, err := strconv.Atoi(digits); err == nil && num > s.nextJob {
+				s.nextJob = num
+			}
 		}
 		rs.Jobs++
 	}

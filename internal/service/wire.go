@@ -48,6 +48,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/cache"
@@ -87,13 +88,24 @@ type UnitSpec struct {
 // key is the unit's canonical dedupe identity within one server:
 // every field that changes the result participates, plus the campaign
 // shaping (scale, instruction budget) that store keys also carry.
+// It is built with strconv, byte for byte what fmt's
+// "%s|%s|scale=%d|n=%d|seed=%d|runs=%d|faults=%d|arpt=%d|%s" prints.
 func (u UnitSpec) key(scale int, maxInsts uint64) string {
-	cfg := ""
+	b := make([]byte, 0, 128)
+	b = append(b, u.Kind...)
+	b = append(b, '|')
+	b = append(b, u.Workload...)
+	b = strconv.AppendInt(append(b, "|scale="...), int64(scale), 10)
+	b = strconv.AppendUint(append(b, "|n="...), maxInsts, 10)
+	b = strconv.AppendUint(append(b, "|seed="...), u.Seed, 10)
+	b = strconv.AppendInt(append(b, "|runs="...), int64(u.Runs), 10)
+	b = strconv.AppendInt(append(b, "|faults="...), int64(u.Faults), 10)
+	b = strconv.AppendInt(append(b, "|arpt="...), int64(u.ARPT), 10)
+	b = append(b, '|')
 	if u.Config != nil {
-		cfg = u.Config.Key()
+		b = append(b, u.Config.Key()...)
 	}
-	return fmt.Sprintf("%s|%s|scale=%d|n=%d|seed=%d|runs=%d|faults=%d|arpt=%d|%s",
-		u.Kind, u.Workload, scale, maxInsts, u.Seed, u.Runs, u.Faults, u.ARPT, cfg)
+	return string(b)
 }
 
 // CampaignRequest is one submission: explicit units, a
@@ -194,8 +206,9 @@ func ParseConfigName(name string) (cpu.Config, error) {
 	}
 	tokens := strings.Split(name[1:len(name)-1], ",")
 	var p cpu.CustomParams
-	if _, err := fmt.Sscanf(tokens[0], "%d+%d", &p.L1Ports, &p.LVCPorts); err != nil ||
-		p.L1Ports <= 0 || p.LVCPorts < 0 || tokens[0] != fmt.Sprintf("%d+%d", p.L1Ports, p.LVCPorts) {
+	l1, lvc, ok := strings.Cut(tokens[0], "+")
+	if !ok || !canonicalInt(l1, &p.L1Ports) || !canonicalInt(lvc, &p.LVCPorts) ||
+		p.L1Ports <= 0 || p.LVCPorts < 0 {
 		return bad()
 	}
 	var seen [4]bool // one slot per segment kind: a canonical name never repeats one
@@ -205,11 +218,11 @@ func ParseConfigName(name string) (cpu.Config, error) {
 		case tok == cache.SteerRegion || tok == cache.SteerPattern ||
 			tok == cache.SteerPCHash || tok == cache.SteerNone:
 			kind, p.Steer = 0, tok
-		case scanToken(tok, "%dcyc", &v):
+		case intToken(tok, "", "cyc", &v):
 			kind, p.L1Latency = 1, v
-		case scanToken(tok, "lvc%dK", &v):
+		case intToken(tok, "lvc", "K", &v):
 			kind, p.LVCSizeKB = 2, v
-		case scanToken(tok, "pen%d", &v):
+		case intToken(tok, "pen", "", &v):
 			kind, p.Penalty = 3, &v
 		default:
 			return bad()
@@ -226,11 +239,25 @@ func ParseConfigName(name string) (cpu.Config, error) {
 	return c, nil
 }
 
-// scanToken matches tok against a single-integer Sscanf format,
-// rejecting trailing garbage (Sscanf alone accepts "4cycX").
-func scanToken(tok, format string, v *int) bool {
-	if _, err := fmt.Sscanf(tok, format, v); err != nil {
+// intToken matches tok against prefix, an integer, suffix, and stores
+// the integer in v.
+func intToken(tok, prefix, suffix string, v *int) bool {
+	digits, ok := strings.CutPrefix(tok, prefix)
+	if !ok {
 		return false
 	}
-	return tok == fmt.Sprintf(format, *v)
+	digits, ok = strings.CutSuffix(digits, suffix)
+	return ok && canonicalInt(digits, v)
+}
+
+// canonicalInt parses s into v when s is the decimal form strconv.Itoa
+// prints: a name has one spelling per machine, so "03" or "+3" is
+// rejected rather than read as 3.
+func canonicalInt(s string, v *int) bool {
+	n, err := strconv.Atoi(s)
+	if err != nil || strconv.Itoa(n) != s {
+		return false
+	}
+	*v = n
+	return true
 }

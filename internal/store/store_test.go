@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -74,6 +76,32 @@ func TestKeyHashDistinguishesEveryField(t *testing.T) {
 	b := Key{Kind: "a", Workload: "bc"}
 	if a.Hash() == b.Hash() {
 		t.Fatal("ambiguous field framing")
+	}
+}
+
+// TestKeyHashPinned pins Key.Hash to the bytes every store on disk was
+// written under, the SHA-256 of fmt's "%q|%q|%d|%d|%q|%q" over the
+// fields: a changed hash would turn every existing record into a miss.
+func TestKeyHashPinned(t *testing.T) {
+	for _, tc := range []struct {
+		k    Key
+		want string
+	}{
+		{Key{Kind: "result", Workload: "130.li", Scale: 1, MaxInsts: 400000, Config: "{Name:(3+3) IssueWidth:4}", Version: "v9"},
+			"7cb83c36e80b8f336e390e5a66fb28effa9011a68bb6fa2750536014171b3675"},
+		{Key{Kind: "trace", Workload: "099.go", Scale: -2, MaxInsts: 1<<64 - 1},
+			"a24a385c449e3fe8c3288ae16b8c8cba5de5bf363435372d3c62d64ed6a8c6e6"},
+		{Key{Kind: "program", Workload: "q\"uo\\te\tπ\x00\xff", Config: "é\n", Version: "\u2028"},
+			"0ffbc40f782dcceef56dc566b113258e728d5bb014e3b84480b937039843b226"},
+	} {
+		if got := tc.k.Hash(); got != tc.want {
+			t.Errorf("%#v.Hash() = %s, want %s", tc.k, got, tc.want)
+		}
+		fmtHash := sha256.Sum256(fmt.Appendf(nil, "%q|%q|%d|%d|%q|%q",
+			tc.k.Kind, tc.k.Workload, tc.k.Scale, tc.k.MaxInsts, tc.k.Config, tc.k.Version))
+		if got := hex.EncodeToString(fmtHash[:]); got != tc.want {
+			t.Errorf("fmt rendering of %#v hashes to %s, want %s", tc.k, got, tc.want)
+		}
 	}
 }
 
@@ -255,9 +283,6 @@ func TestFlippedKeyNeverHits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st := reopened.Stats(); st.Torn != 1 {
-				t.Fatalf("Torn = %d, want the flipped header skipped", st.Torn)
-			}
 			for _, st := range []*Store{s, early, reopened} {
 				var got payload
 				if ok, err := st.Get(k, &got); err != nil || ok {
@@ -270,6 +295,10 @@ func TestFlippedKeyNeverHits(t *testing.T) {
 				if ok, err := st.Get(other, &got); err != nil || !ok || got.Name != "sound" {
 					t.Fatalf("Get %v = (%v, %v) %+v, want the sound frame", other, ok, err, got)
 				}
+			}
+			// The index build of the first Get skipped the flipped header.
+			if st := reopened.Stats(); st.Torn != 1 {
+				t.Fatalf("Torn = %d, want the flipped header skipped", st.Torn)
 			}
 			// The writer's index still named the frame: verify caught it.
 			if st := s.Stats(); st.Corrupt != 1 {
@@ -344,7 +373,7 @@ func TestTwoStoresShareDirectory(t *testing.T) {
 }
 
 // TestTornTailSkipped cuts a segment mid-frame, as a crash during a
-// write leaves it: Open skips and counts the torn tail, the frames
+// write leaves it: the index build skips and counts the torn tail, the frames
 // before it stay readable, and the torn record is a miss that a fresh
 // Put heals.
 func TestTornTailSkipped(t *testing.T) {
@@ -363,10 +392,10 @@ func TestTornTailSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantHits(t, s2, keys[:2]...)
 	if st := s2.Stats(); st.Torn != 1 {
 		t.Fatalf("Torn = %d, want 1", st.Torn)
 	}
-	wantHits(t, s2, keys[:2]...)
 	wantMiss(t, s2, keys[2])
 	if st := s2.Stats(); st.Corrupt != 0 {
 		t.Fatalf("a torn tail was quarantined: %+v", st)
@@ -412,8 +441,34 @@ func TestLaterSegmentWins(t *testing.T) {
 	}
 }
 
+// TestPutBeforeFirstGetWins: a Put that is a Store's first call
+// builds the index before indexing its own frame, so the older frame
+// for its key that the build scans cannot replace the newer one.
+func TestPutBeforeFirstGetWins(t *testing.T) {
+	dir := t.TempDir()
+	old, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey("result")
+	if err := old.Put(k, &payload{Name: "stale"}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(k, &payload{Name: "fresh"}); err != nil {
+		t.Fatal(err)
+	}
+	var got payload
+	if ok, err := s.Get(k, &got); err != nil || !ok || got.Name != "fresh" {
+		t.Fatalf("Get = (%v, %v) %+v, want the fresh frame", ok, err, got)
+	}
+}
+
 // TestUnparsableHeaderResyncs damages the header of a frame in the
-// middle of a segment: Open skips to the next magic, so the frames on
+// middle of a segment: the index build skips to the next magic, so the frames on
 // both sides of the damage stay readable.
 func TestUnparsableHeaderResyncs(t *testing.T) {
 	dir := t.TempDir()
@@ -431,10 +486,10 @@ func TestUnparsableHeaderResyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantHits(t, s2, keys[0], keys[2])
 	if st := s2.Stats(); st.Torn != 1 {
 		t.Fatalf("Torn = %d, want 1", st.Torn)
 	}
-	wantHits(t, s2, keys[0], keys[2])
 	wantMiss(t, s2, keys[1])
 }
 
@@ -450,9 +505,9 @@ func (c *countingFS) ReadAt(name string, p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// TestOpenReadsHeadersOnly pins the header-only scan: indexing
-// segments of large records reads far fewer bytes than the payloads
-// hold.
+// TestOpenReadsHeadersOnly pins the lazy, header-only scan: Open
+// reads nothing, and the index build of the first Get reads far fewer
+// bytes of segments of large records than the payloads hold.
 func TestOpenReadsHeadersOnly(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -474,10 +529,14 @@ func TestOpenReadsHeadersOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if read := fs.read.Load(); read > records*maxHeader {
-		t.Fatalf("Open read %d bytes of %d-byte payloads", read, records*size)
+	if read := fs.read.Load(); read != 0 {
+		t.Fatalf("Open read %d bytes, want none", read)
 	}
 	var got payload
+	wantMiss(t, s2, testKey("absent"))
+	if read := fs.read.Load(); read > records*maxHeader {
+		t.Fatalf("the index build read %d bytes of %d-byte payloads", read, records*size)
+	}
 	for _, k := range keys {
 		if ok, err := s2.Get(k, &got); err != nil || !ok || len(got.Values) != size/8 {
 			t.Fatalf("Get %s = (%v, %v), want hit", k.Workload, ok, err)
@@ -712,9 +771,9 @@ func BenchmarkGetMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkOpen times indexing one segment shaped like an arld
-// campaign's: 480 result frames of about 6 KB, then 12 programs of
-// 100 KB and 12 traces of 64 KB.
+// BenchmarkOpen times Open and a first Get, which indexes one segment
+// shaped like an arld campaign's: 480 result frames of about 6 KB,
+// then 12 programs of 100 KB and 12 traces of 64 KB.
 func BenchmarkOpen(b *testing.B) {
 	dir := b.TempDir()
 	w, err := Open(dir)
@@ -736,10 +795,16 @@ func BenchmarkOpen(b *testing.B) {
 		}
 	}
 	w.Close()
+	k := testKey("result")
+	k.Workload = "0"
+	var got payload
 	for i := 0; i < b.N; i++ {
 		s, err := Open(dir)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if ok, err := s.Get(k, &got); err != nil || !ok {
+			b.Fatalf("Get = (%v, %v), want hit", ok, err)
 		}
 		if len(s.index) != 504 {
 			b.Fatalf("indexed %d frames, want 504", len(s.index))
