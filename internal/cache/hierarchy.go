@@ -39,47 +39,71 @@ const (
 // SteerPolicies lists the built-in policy names NewSteer accepts.
 var SteerPolicies = []string{SteerRegion, SteerPattern, SteerPCHash, SteerNone}
 
-// NewSteer resolves a policy name to a predicate over nparts
-// partitions. Policies that split two ways (region, pattern) require
-// nparts >= 2; pchash uses all partitions; none works with any count.
-func NewSteer(policy string, nparts int) (Steer, error) {
+// Built-in policies as Hierarchy resolves them; policyCustom is a
+// caller's own predicate.
+const (
+	policyCustom = iota
+	policyNone
+	policyRegion
+	policyPattern
+	policyPCHash
+)
+
+// resolvePolicy checks a policy name against nparts partitions and
+// returns its code. Policies that split two ways (region, pattern)
+// require nparts >= 2; pchash uses all partitions; none works with any
+// count.
+func resolvePolicy(policy string, nparts int) (int, error) {
 	if nparts <= 0 {
-		return nil, fmt.Errorf("cache: steering over %d partitions", nparts)
+		return 0, fmt.Errorf("cache: steering over %d partitions", nparts)
 	}
 	switch policy {
 	case SteerNone:
-		return func(core.AccessInfo) int { return 0 }, nil
-	case SteerRegion:
+		return policyNone, nil
+	case SteerRegion, SteerPattern:
 		if nparts < 2 {
-			return nil, fmt.Errorf("cache: %s steering needs at least 2 partitions, have %d", policy, nparts)
+			return 0, fmt.Errorf("cache: %s steering needs at least 2 partitions, have %d", policy, nparts)
 		}
-		return func(a core.AccessInfo) int {
-			if a.Stack {
-				return 1
-			}
-			return 0
-		}, nil
-	case SteerPattern:
-		if nparts < 2 {
-			return nil, fmt.Errorf("cache: %s steering needs at least 2 partitions, have %d", policy, nparts)
+		if policy == SteerRegion {
+			return policyRegion, nil
 		}
-		return func(a core.AccessInfo) int {
-			if a.EarlyAddr || a.IsFP {
-				return 1
-			}
-			return 0
-		}, nil
+		return policyPattern, nil
 	case SteerPCHash:
-		n := uint32(nparts)
-		return func(a core.AccessInfo) int {
-			// Fibonacci hashing of the static index: cheap, stateless,
-			// and well spread even for the small dense index spaces of
-			// the workloads.
-			return int(uint32(a.Index) * 2654435761 % n)
-		}, nil
-	default:
-		return nil, fmt.Errorf("cache: unknown steering policy %q (have %v)", policy, SteerPolicies)
+		return policyPCHash, nil
 	}
+	return 0, fmt.Errorf("cache: unknown steering policy %q (have %v)", policy, SteerPolicies)
+}
+
+// steerBy applies built-in policy p to one access over nparts
+// partitions.
+func steerBy(p int, a core.AccessInfo, nparts uint32) int {
+	switch p {
+	case policyRegion:
+		if a.Stack {
+			return 1
+		}
+	case policyPattern:
+		if a.EarlyAddr || a.IsFP {
+			return 1
+		}
+	case policyPCHash:
+		// Fibonacci hashing of the static index: cheap, stateless, and
+		// well spread even for the small dense index spaces of the
+		// workloads.
+		return int(uint32(a.Index) * 2654435761 % nparts)
+	}
+	return 0
+}
+
+// NewSteer resolves a policy name to a predicate over nparts
+// partitions (see resolvePolicy for the partition counts each needs).
+func NewSteer(policy string, nparts int) (Steer, error) {
+	p, err := resolvePolicy(policy, nparts)
+	if err != nil {
+		return nil, err
+	}
+	n := uint32(nparts)
+	return func(a core.AccessInfo) int { return steerBy(p, a, n) }, nil
 }
 
 // Hierarchy levels, as reported by Hierarchy.Access.
@@ -98,7 +122,11 @@ type HierarchyConfig struct {
 	// L2 is the shared second level; the zero value means the paper's
 	// L2Config.
 	L2 Config
-	// Steer picks the partition per access; nil means SteerNone.
+	// Policy names the built-in steering policy, which the hierarchy
+	// applies without a predicate call. It overrides Steer; with both
+	// empty, everything goes to partition 0 (SteerNone).
+	Policy string
+	// Steer is a caller's own predicate, for a policy with no name.
 	Steer Steer
 }
 
@@ -108,9 +136,10 @@ type HierarchyConfig struct {
 // Cache; the hierarchy answers hit levels and tracks per-partition
 // statistics.
 type Hierarchy struct {
-	parts []*Cache
-	l2    *Cache
-	steer Steer
+	parts  []*Cache
+	l2     *Cache
+	policy int   // a built-in policy, or policyCustom to call steer
+	steer  Steer // the caller's predicate under policyCustom
 }
 
 // NewHierarchy builds the partitioned hierarchy; every partition
@@ -119,7 +148,17 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if len(cfg.Partitions) == 0 {
 		return nil, fmt.Errorf("cache: hierarchy needs at least one partition")
 	}
-	h := &Hierarchy{parts: make([]*Cache, len(cfg.Partitions)), steer: cfg.Steer}
+	h := &Hierarchy{parts: make([]*Cache, len(cfg.Partitions)), policy: policyNone}
+	switch {
+	case cfg.Policy != "":
+		p, err := resolvePolicy(cfg.Policy, len(cfg.Partitions))
+		if err != nil {
+			return nil, err
+		}
+		h.policy = p
+	case cfg.Steer != nil:
+		h.policy, h.steer = policyCustom, cfg.Steer
+	}
 	for i, pc := range cfg.Partitions {
 		c, err := New(pc)
 		if err != nil {
@@ -136,9 +175,6 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 		return nil, fmt.Errorf("cache: L2: %w", err)
 	}
 	h.l2 = l2
-	if h.steer == nil {
-		h.steer, _ = NewSteer(SteerNone, len(h.parts))
-	}
 	return h, nil
 }
 
@@ -154,7 +190,12 @@ func (h *Hierarchy) L2() *Cache { return h.l2 }
 // Steer picks the partition for one access, clamping a misbehaving
 // predicate's out-of-range answer to partition 0.
 func (h *Hierarchy) Steer(a core.AccessInfo) int {
-	pi := h.steer(a)
+	var pi int
+	if h.policy == policyCustom {
+		pi = h.steer(a)
+	} else {
+		pi = steerBy(h.policy, a, uint32(len(h.parts)))
+	}
 	if pi < 0 || pi >= len(h.parts) {
 		return 0
 	}

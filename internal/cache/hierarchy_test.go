@@ -196,6 +196,13 @@ func TestHierarchyValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("bad L2 validated")
 	}
+	for _, policy := range []string{SteerRegion, "bogus"} {
+		if _, err := NewHierarchy(HierarchyConfig{
+			Partitions: []PartitionConfig{L1Config(2, 2)}, Policy: policy,
+		}); err == nil {
+			t.Errorf("policy %q over one partition validated", policy)
+		}
+	}
 	h, err := NewHierarchy(HierarchyConfig{Partitions: []PartitionConfig{L1Config(2, 2)}})
 	if err != nil {
 		t.Fatal(err)

@@ -89,3 +89,46 @@ func BenchmarkSimRingObs(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFigure8Grid times one Figure 8 grid: the programs of the
+// benchmark's sim_sched workload, whose grid is scheduling-bound
+// rather than disambiguation-bound, at 250,000 instructions on the
+// eight Figure 8 machines. It reports the engine's speed per simulated
+// instruction and per cycle.
+func BenchmarkFigure8Grid(b *testing.B) {
+	const n = 250_000
+	var trs []*Trace
+	for _, name := range []string{"099.go", "132.ijpeg", "102.swim"} {
+		w, ok := workload.ByName(name)
+		if !ok {
+			b.Fatalf("%s missing", name)
+		}
+		p, err := w.Compile(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, err := BuildTrace(p, TraceOptions{MaxInsts: n})
+		if err != nil {
+			b.Fatal(err)
+		}
+		trs = append(trs, tr)
+	}
+	cfgs := Figure8Configs()
+	var insts, cycles uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range trs {
+			for _, cfg := range cfgs {
+				res, err := Simulate(tr, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				insts += res.Insts
+				cycles += res.Cycles
+			}
+		}
+	}
+	sec := b.Elapsed().Seconds()
+	b.ReportMetric(sec*1e9/float64(insts), "ns/inst")
+	b.ReportMetric(float64(cycles)/sec/1e6, "Mcycles/s")
+}

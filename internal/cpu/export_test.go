@@ -2,9 +2,17 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/obs"
 )
+
+// RefRun simulates tr on cfg with the reference engine (refsim_test.go),
+// drawing port denials and extra latencies from faults when it is not
+// nil. Sim.Run must return the same Result.
+func RefRun(tr *Trace, cfg Config, faults MemFaulter) (*Result, error) {
+	return refRun(tr, cfg, faults)
+}
 
 // RunEventsReversed runs tr like Run, but delivers the events due in
 // each cycle in reverse seq order. It is a test-only copy of simulate's
@@ -23,8 +31,22 @@ func (sm *Sim) RunEventsReversed(tr *Trace) (*Result, error) {
 		}
 		b := s.bucket(s.now)
 		due = due[:0]
-		for seq := s.scan(b, s.headSeq); seq >= 0; seq = s.scan(b, seq+1) {
-			due = append(due, seq)
+		wi, base, below := s.walkStart()
+		w := b[wi] &^ below
+		for k := len(b); ; k-- {
+			for ; w != 0; w &= w - 1 {
+				due = append(due, base+int64(bits.TrailingZeros64(w)))
+			}
+			if k == 0 {
+				break
+			}
+			if wi++; wi == len(b) {
+				wi = 0
+			}
+			base += 64
+			if w = b[wi]; k == 1 {
+				w &= below
+			}
 		}
 		for i := len(due) - 1; i >= 0; i-- {
 			if err := s.fire(b, due[i]); err != nil {

@@ -93,6 +93,9 @@ func TestEngineSelfChecks(t *testing.T) {
 		{"recovery outside the steered queue", Decoupled(3, 3), steered, func(s *simulator) {
 			s.trc = &queueFlipper{s: s}
 		}, "found it in the LSQ, but dispatch steered it to the LVAQ"},
+		{"port grants", Conventional(2, 2), nil, func(s *simulator) {
+			s.trc = &budgetBump{s: s}
+		}, "partition 0 granted 3 ports of 2"},
 		{"commit width", Decoupled(3, 3), flat, func(s *simulator) {
 			// The engine runs far wider than the machine its Result
 			// reports, so the flat trace commits too fast for it.
@@ -142,5 +145,17 @@ func (f *queueFlipper) Emit(ev obs.Event) {
 		e := f.s.slot(ev.Seq)
 		e.queue = qLSQ + qLVAQ - e.queue
 		f.done = true
+	}
+}
+
+// budgetBump is a tracer that gives partition 0 one more port each
+// time it grants an access, in the middle of memScan's pass, so a
+// cycle with more accesses waiting than the partition has ports grants
+// them all.
+type budgetBump struct{ s *simulator }
+
+func (b *budgetBump) Emit(ev obs.Event) {
+	if ev.Kind == obs.EvCacheAccess {
+		b.s.budget[0]++
 	}
 }
