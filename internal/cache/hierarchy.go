@@ -12,13 +12,7 @@ import (
 // Cache's pattern split is another.
 type PartitionConfig = Config
 
-// Steer picks the first-level partition index for one access. A
-// predicate must be a pure function of its argument: the simulator
-// calls it once per granted access and replays must reproduce the
-// same sequence. Out-of-range indices are clamped to partition 0.
-type Steer func(core.AccessInfo) int
-
-// Steering policy names. NewSteer resolves them to predicates.
+// Steering policy names. ParsePolicy resolves them.
 const (
 	// SteerRegion reproduces the paper's split exactly: accesses whose
 	// actual region is stack go to partition 1 (the LVC), everything
@@ -36,24 +30,25 @@ const (
 	SteerNone = "none"
 )
 
-// SteerPolicies lists the built-in policy names NewSteer accepts.
+// SteerPolicies lists the policy names ParsePolicy accepts.
 var SteerPolicies = []string{SteerRegion, SteerPattern, SteerPCHash, SteerNone}
 
-// Built-in policies as Hierarchy resolves them; policyCustom is a
-// caller's own predicate.
+// Policy is a steering policy resolved for a partition count. Every
+// policy is a pure function of the access: the simulator steers once
+// per granted access, and replays must reproduce the same sequence.
+type Policy uint8
+
 const (
-	policyCustom = iota
-	policyNone
+	policyNone Policy = iota
 	policyRegion
 	policyPattern
 	policyPCHash
 )
 
-// resolvePolicy checks a policy name against nparts partitions and
-// returns its code. Policies that split two ways (region, pattern)
-// require nparts >= 2; pchash uses all partitions; none works with any
-// count.
-func resolvePolicy(policy string, nparts int) (int, error) {
+// ParsePolicy resolves a policy name for nparts partitions. Policies
+// that split two ways (region, pattern) require nparts >= 2; pchash
+// uses all partitions; none works with any count.
+func ParsePolicy(policy string, nparts int) (Policy, error) {
 	if nparts <= 0 {
 		return 0, fmt.Errorf("cache: steering over %d partitions", nparts)
 	}
@@ -74,38 +69,6 @@ func resolvePolicy(policy string, nparts int) (int, error) {
 	return 0, fmt.Errorf("cache: unknown steering policy %q (have %v)", policy, SteerPolicies)
 }
 
-// steerBy applies built-in policy p to one access over nparts
-// partitions.
-func steerBy(p int, a core.AccessInfo, nparts uint32) int {
-	switch p {
-	case policyRegion:
-		if a.Stack {
-			return 1
-		}
-	case policyPattern:
-		if a.EarlyAddr || a.IsFP {
-			return 1
-		}
-	case policyPCHash:
-		// Fibonacci hashing of the static index: cheap, stateless, and
-		// well spread even for the small dense index spaces of the
-		// workloads.
-		return int(uint32(a.Index) * 2654435761 % nparts)
-	}
-	return 0
-}
-
-// NewSteer resolves a policy name to a predicate over nparts
-// partitions (see resolvePolicy for the partition counts each needs).
-func NewSteer(policy string, nparts int) (Steer, error) {
-	p, err := resolvePolicy(policy, nparts)
-	if err != nil {
-		return nil, err
-	}
-	n := uint32(nparts)
-	return func(a core.AccessInfo) int { return steerBy(p, a, n) }, nil
-}
-
 // Hierarchy levels, as reported by Hierarchy.Access.
 const (
 	LevelFirst = iota // satisfied by the addressed partition
@@ -122,12 +85,9 @@ type HierarchyConfig struct {
 	// L2 is the shared second level; the zero value means the paper's
 	// L2Config.
 	L2 Config
-	// Policy names the built-in steering policy, which the hierarchy
-	// applies without a predicate call. It overrides Steer; with both
-	// empty, everything goes to partition 0 (SteerNone).
+	// Policy names the steering policy; empty sends everything to
+	// partition 0 (SteerNone).
 	Policy string
-	// Steer is a caller's own predicate, for a policy with no name.
-	Steer Steer
 }
 
 // Hierarchy is a first-level cache split into N steered partitions
@@ -138,8 +98,7 @@ type HierarchyConfig struct {
 type Hierarchy struct {
 	parts  []*Cache
 	l2     *Cache
-	policy int   // a built-in policy, or policyCustom to call steer
-	steer  Steer // the caller's predicate under policyCustom
+	policy Policy
 }
 
 // NewHierarchy builds the partitioned hierarchy; every partition
@@ -148,16 +107,13 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if len(cfg.Partitions) == 0 {
 		return nil, fmt.Errorf("cache: hierarchy needs at least one partition")
 	}
-	h := &Hierarchy{parts: make([]*Cache, len(cfg.Partitions)), policy: policyNone}
-	switch {
-	case cfg.Policy != "":
-		p, err := resolvePolicy(cfg.Policy, len(cfg.Partitions))
+	h := &Hierarchy{parts: make([]*Cache, len(cfg.Partitions))}
+	if cfg.Policy != "" {
+		p, err := ParsePolicy(cfg.Policy, len(cfg.Partitions))
 		if err != nil {
 			return nil, err
 		}
 		h.policy = p
-	case cfg.Steer != nil:
-		h.policy, h.steer = policyCustom, cfg.Steer
 	}
 	for i, pc := range cfg.Partitions {
 		c, err := New(pc)
@@ -187,19 +143,26 @@ func (h *Hierarchy) Partition(i int) *Cache { return h.parts[i] }
 // L2 returns the shared second-level cache.
 func (h *Hierarchy) L2() *Cache { return h.l2 }
 
-// Steer picks the partition for one access, clamping a misbehaving
-// predicate's out-of-range answer to partition 0.
+// Steer picks the partition for one access under the hierarchy's
+// policy. ParsePolicy checked the partition count, so every answer is
+// in range.
 func (h *Hierarchy) Steer(a core.AccessInfo) int {
-	var pi int
-	if h.policy == policyCustom {
-		pi = h.steer(a)
-	} else {
-		pi = steerBy(h.policy, a, uint32(len(h.parts)))
+	switch h.policy {
+	case policyRegion:
+		if a.Stack {
+			return 1
+		}
+	case policyPattern:
+		if a.EarlyAddr || a.IsFP {
+			return 1
+		}
+	case policyPCHash:
+		// Fibonacci hashing of the static index: cheap, stateless, and
+		// well spread even for the small dense index spaces of the
+		// workloads.
+		return int(uint32(a.Index) * 2654435761 % uint32(len(h.parts)))
 	}
-	if pi < 0 || pi >= len(h.parts) {
-		return 0
-	}
-	return pi
+	return 0
 }
 
 // Access charges partition pi with one access and, on a first-level

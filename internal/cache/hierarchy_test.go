@@ -25,13 +25,9 @@ func (s *splitmix64) next() uint64 {
 // the simulator used to instantiate directly.
 func TestHierarchyMatchesSeparateCaches(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		steer, err := NewSteer(SteerRegion, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
 		h, err := NewHierarchy(HierarchyConfig{
 			Partitions: []PartitionConfig{L1Config(2, 2), LVCConfig(2)},
-			Steer:      steer,
+			Policy:     SteerRegion,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -130,25 +126,39 @@ func TestNewSteerPolicies(t *testing.T) {
 		{SteerNone, 0, false},
 	}
 	for _, c := range cases {
-		_, err := NewSteer(c.policy, c.nparts)
+		_, err := ParsePolicy(c.policy, c.nparts)
 		if (err == nil) != c.ok {
-			t.Errorf("NewSteer(%q, %d): err = %v, want ok=%v", c.policy, c.nparts, err, c.ok)
+			t.Errorf("ParsePolicy(%q, %d): err = %v, want ok=%v", c.policy, c.nparts, err, c.ok)
 		}
 	}
 }
 
+// steerer is a hierarchy of nparts L1 partitions steered by policy.
+func steerer(t *testing.T, policy string, nparts int) func(core.AccessInfo) int {
+	t.Helper()
+	parts := make([]PartitionConfig, nparts)
+	for i := range parts {
+		parts[i] = L1Config(2, 2)
+	}
+	h, err := NewHierarchy(HierarchyConfig{Partitions: parts, Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Steer
+}
+
 func TestSteerSemantics(t *testing.T) {
-	region, _ := NewSteer(SteerRegion, 2)
+	region := steerer(t, SteerRegion, 2)
 	if region(core.AccessInfo{Stack: true}) != 1 || region(core.AccessInfo{}) != 0 {
 		t.Error("region steering does not split stack/heap")
 	}
-	pattern, _ := NewSteer(SteerPattern, 2)
+	pattern := steerer(t, SteerPattern, 2)
 	if pattern(core.AccessInfo{EarlyAddr: true}) != 1 ||
 		pattern(core.AccessInfo{IsFP: true}) != 1 ||
 		pattern(core.AccessInfo{}) != 0 {
 		t.Error("pattern steering does not split regular/irregular")
 	}
-	pchash, _ := NewSteer(SteerPCHash, 4)
+	pchash := steerer(t, SteerPCHash, 4)
 	seen := map[int]bool{}
 	for i := int32(0); i < 64; i++ {
 		pi := pchash(core.AccessInfo{Index: i})
@@ -165,19 +175,6 @@ func TestSteerSemantics(t *testing.T) {
 		if pchash(core.AccessInfo{Index: i}) != pchash(core.AccessInfo{Index: i}) {
 			t.Fatal("pchash not deterministic")
 		}
-	}
-}
-
-func TestHierarchyClampsBadSteer(t *testing.T) {
-	h, err := NewHierarchy(HierarchyConfig{
-		Partitions: []PartitionConfig{L1Config(2, 2)},
-		Steer:      func(core.AccessInfo) int { return 7 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pi := h.Steer(core.AccessInfo{}); pi != 0 {
-		t.Errorf("out-of-range steer clamped to %d, want 0", pi)
 	}
 }
 
@@ -213,9 +210,9 @@ func TestHierarchyValidation(t *testing.T) {
 	if h.NumPartitions() != 1 {
 		t.Errorf("NumPartitions = %d", h.NumPartitions())
 	}
-	// Nil steer means unified: everything to partition 0.
+	// No policy means unified: everything to partition 0.
 	if pi := h.Steer(core.AccessInfo{Stack: true}); pi != 0 {
-		t.Errorf("nil steer sent access to partition %d", pi)
+		t.Errorf("the default policy sent an access to partition %d", pi)
 	}
 }
 

@@ -39,7 +39,7 @@ type Config struct {
 
 	// Partitions lists the first-level cache partitions explicitly
 	// (per-partition size/assoc/line/ports/latency); SteerPolicy names
-	// the cache.NewSteer predicate that routes accesses between them
+	// the cache steering policy that routes accesses between them
 	// ("" defaults to region when there are two or more partitions,
 	// none otherwise).
 	Partitions  []cache.PartitionConfig
@@ -137,7 +137,7 @@ func (c Config) ResolvePartitions() ([]cache.PartitionConfig, string, error) {
 			return nil, "", fmt.Errorf("partition %d: %w", i, err)
 		}
 	}
-	if _, err := cache.NewSteer(policy, len(parts)); err != nil {
+	if _, err := cache.ParsePolicy(policy, len(parts)); err != nil {
 		return nil, "", err
 	}
 	return parts, policy, nil

@@ -104,11 +104,7 @@ func refRun(tr *Trace, cfg Config, faults MemFaulter) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	steer, err := cache.NewSteer(policy, len(parts))
-	if err != nil {
-		return nil, err
-	}
-	hier, err := cache.NewHierarchy(cache.HierarchyConfig{Partitions: parts, Steer: steer})
+	hier, err := cache.NewHierarchy(cache.HierarchyConfig{Partitions: parts, Policy: policy})
 	if err != nil {
 		return nil, err
 	}

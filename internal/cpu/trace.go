@@ -73,7 +73,7 @@ func (t *TraceInst) Mispredicted() bool {
 }
 
 // AccessInfo projects the instruction onto the cache-steering view:
-// the value a cache.Steer predicate sees when the simulator grants
+// the value cache.Hierarchy.Steer sees when the simulator grants
 // this access a port.
 func (t *TraceInst) AccessInfo() core.AccessInfo {
 	return core.AccessInfo{

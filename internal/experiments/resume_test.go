@@ -117,38 +117,32 @@ func TestResumeHelper(t *testing.T) {
 	}
 }
 
-// payloadSpan is where one stored record's payload sits in its
-// segment.
+// payloadSpan is where one stored record's data sits in its segment.
 type payloadSpan struct {
 	path     string
 	off, len int
 }
 
 // storedPayloads frames the store's segments the way the store writes
-// them — "arlstore1 " magic, JSON header line with the payload length,
-// payload — and returns every complete record's payload span. A torn
-// tail, which the SIGKILL may leave, ends a segment's list.
+// them — segment-log frames whose payload is a JSON header line with
+// the data length, then the data — and returns every complete record's
+// data span. A torn tail, which the SIGKILL may leave, ends a
+// segment's list.
 func storedPayloads(objects string) []payloadSpan {
-	const magic = "arlstore1 "
-	segs, _ := filepath.Glob(filepath.Join(objects, "*.pack"))
+	segs, _ := filepath.Glob(filepath.Join(objects, "seg-*.log"))
 	var out []payloadSpan
 	for _, path := range segs {
 		data, _ := os.ReadFile(path)
-		for off := 0; bytes.HasPrefix(data[off:], []byte(magic)); {
-			nl := bytes.IndexByte(data[off:], '\n')
+		store.ScanBytes(data, func(f store.Frame) {
+			nl := bytes.IndexByte(f.Payload, '\n')
 			var hdr struct {
 				Len int `json:"len"`
 			}
-			if nl < 0 || json.Unmarshal(data[off+len(magic):off+nl], &hdr) != nil {
-				break
+			if nl < 0 || json.Unmarshal(f.Payload[:nl], &hdr) != nil {
+				return
 			}
-			start := off + nl + 1
-			if start+hdr.Len > len(data) {
-				break
-			}
-			out = append(out, payloadSpan{path: path, off: start, len: hdr.Len})
-			off = start + hdr.Len
-		}
+			out = append(out, payloadSpan{path: path, off: int(f.Off+f.Size) - len(f.Payload) + nl + 1, len: hdr.Len})
+		})
 	}
 	return out
 }

@@ -22,13 +22,13 @@ var lockheldPkgs = map[string]bool{
 // blocking operation — channel send/receive, select without default,
 // time.Sleep, WaitGroup.Wait, net/http traffic, resilience retry
 // loops, artifact-store I/O (store.File writes and syncs included), or
-// write-ahead journal I/O — before
-// unlocking. A blocked critical section stalls every other goroutine
-// behind the lock and is the classic shape of the memoization
-// deadlocks PR 1 removed. The journal's write-ahead discipline needs
-// no waiver: the service writes records under its locks with
-// Journal.Write, which only buffers in memory, and waits for them with
-// Journal.Sync after unlocking.
+// segment-log I/O (a store.Log's or the write-ahead journal's syncs,
+// flushes, closes and scans, and opening either) — before unlocking. A
+// blocked critical section stalls every other goroutine behind the
+// lock and is the classic shape of the memoization deadlocks the
+// Runner once had. Group commit needs no waiver: callers write records
+// under their locks with Write, which only buffers in memory, and wait
+// for them with Sync after unlocking.
 var Lockheld = &Analyzer{
 	Name: "lockheld",
 	Doc:  "flags locks held across blocking calls (store/journal I/O, channels, HTTP, sleeps)",
@@ -221,6 +221,15 @@ func reportBlockingIn(pass *Pass, n ast.Node, held []heldLock) {
 	})
 }
 
+// logIO names the segment-log methods, on a store.Log or the journal
+// built on one, that do file I/O: Sync and Flush wait for an fsync,
+// Close flushes, and the rest read segments or the directory. Write is
+// absent on purpose: it only frames records into an in-memory buffer.
+var logIO = map[string]bool{
+	"Sync": true, "Flush": true, "Close": true, "Replay": true,
+	"Scan": true, "ScanAll": true, "Segments": true, "Quarantined": true,
+}
+
 // blockingCallee describes why a call blocks, or returns "".
 func blockingCallee(pass *Pass, call *ast.CallExpr) string {
 	f := pass.calleeFunc(call)
@@ -242,7 +251,7 @@ func blockingCallee(pass *Pass, call *ast.CallExpr) string {
 		return "sync " + recvShort(recvType) + ".Wait"
 	case pkg == "os/exec" && (name == "Run" || name == "Wait" || name == "Output" || name == "CombinedOutput"):
 		return "exec.Cmd." + name
-	case strings.HasPrefix(recvType, "*repro/internal/store.Store"):
+	case recvType == "*repro/internal/store.Store":
 		return "store I/O " + name
 	case (name == "Write" || name == "Sync") && onStoreFile(pass, call):
 		// A segment append or its fsync: real file I/O.
@@ -250,14 +259,11 @@ func blockingCallee(pass *Pass, call *ast.CallExpr) string {
 	case pkg == "repro/internal/store" && (name == "Open" || name == "OpenFS" ||
 		name == "WriteFileAtomic" || name == "WriteFileAtomicFS"):
 		return "store I/O " + name
-	case strings.HasPrefix(recvType, "*repro/internal/service/journal.Journal") &&
-		(name == "Sync" || name == "Flush" || name == "Replay" || name == "Close"):
-		// Sync and Flush wait for an fsync, Replay reads every
-		// segment, Close flushes: all real file I/O, never free under a
-		// service lock. Write is absent on purpose: it only frames the
-		// records into an in-memory buffer.
-		return "journal I/O " + name
-	case pkg == "repro/internal/service/journal" && (name == "Open" || name == "OpenFS"):
+	case recvType == "*repro/internal/store.Log" && logIO[name],
+		pkg == "repro/internal/store" && name == "OpenLog":
+		return "log I/O " + name
+	case recvType == "*repro/internal/service/journal.Journal" && logIO[name],
+		pkg == "repro/internal/service/journal" && (name == "Open" || name == "OpenFS"):
 		return "journal I/O " + name
 	case strings.Contains(recvType, "repro/internal/resilience.Retry") && name == "Do":
 		return "resilience retry loop"

@@ -95,6 +95,35 @@ func (q *queue) journalOrdered(j *journal.Journal) error {
 	return j.Sync(pos)
 }
 
+// Bad: waiting for a segment log's fsync under the lock.
+func (q *queue) logSyncUnderLock(l *store.Log, pos store.Pos) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return l.Sync(pos) // want `log I/O Sync while q\.mu is held`
+}
+
+// Bad: opening and scanning a segment log under the lock.
+func (q *queue) logScanUnderLock(dir, path string) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	l, err := store.OpenLog(store.OS(), dir, dir) // want `log I/O OpenLog while q\.mu is held`
+	if err != nil {
+		return err
+	}
+	_, err = l.ScanAll(path, func(store.Frame) {}) // want `log I/O ScanAll while q\.mu is held`
+	return err
+}
+
+// Good: Write only buffers, so frames are ordered under the lock; the
+// wait for durability comes after unlocking.
+func (q *queue) logOrdered(l *store.Log, rec []byte) error {
+	q.mu.Lock()
+	pos := l.Write(rec)
+	q.items = append(q.items, len(rec))
+	q.mu.Unlock()
+	return l.Sync(pos)
+}
+
 // Bad: a segment append and its fsync under the lock.
 func (q *queue) appendUnderLock(f store.File, rec []byte) error {
 	q.mu.Lock()

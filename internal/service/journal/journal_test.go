@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,6 +30,19 @@ func collect(t *testing.T, j *Journal) ([]Record, ReplayStats) {
 		t.Fatalf("Replay: %v", err)
 	}
 	return recs, stats
+}
+
+// segPath is the path of the journal's n-th segment.
+func segPath(dir string, n int) string { return filepath.Join(dir, fmt.Sprintf("seg-%08d.log", n)) }
+
+// segments lists the journal's segment files.
+func segments(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
 }
 
 // appendSync writes recs and waits for them to be durable.
@@ -119,7 +133,7 @@ func TestAppendBatchOneWriteOneSync(t *testing.T) {
 		{T: TypeEvent, Job: "c0000", Seq: 7, Unit: 3, State: "done", Result: json.RawMessage(`{"ipc":2}`)},
 		{T: TypeEnd, Job: "c0000", State: "complete"},
 	}
-	writes, syncs := fs.writes, fs.syncs // the segment header
+	writes, syncs := fs.writes, fs.syncs
 	if err := appendSync(j, want...); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +219,7 @@ func TestTornTailTolerated(t *testing.T) {
 	}
 	j.Close()
 
-	seg := filepath.Join(dir, segName(0))
+	seg := segPath(dir, 0)
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,16 +256,18 @@ func TestCorruptRecordSkippedAndQuarantined(t *testing.T) {
 	}
 	j.Close()
 
-	seg := filepath.Join(dir, segName(0))
+	seg := segPath(dir, 0)
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(string(data), "\n")
-	// lines[0] is the header; corrupt the payload of the middle record.
-	mid := 3
-	lines[mid] = strings.Replace(lines[mid], `"t":"job"`, `"t":"JOB"`, 1)
-	if err := os.WriteFile(seg, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+	// Corrupt the payload of the middle record.
+	mid := []byte(`"t":"job","job":"c0002"`)
+	if !bytes.Contains(data, mid) {
+		t.Fatalf("segment holds no %s", mid)
+	}
+	data = bytes.Replace(data, mid, []byte(`"t":"JOB","job":"c0002"`), 1)
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -276,44 +292,6 @@ func TestCorruptRecordSkippedAndQuarantined(t *testing.T) {
 	_, stats = collect(t, j2)
 	if stats.Quarantined != 0 {
 		t.Fatalf("re-replay quarantined %d more copies of the same segment", stats.Quarantined)
-	}
-}
-
-// TestAppendFaultResync drives an append through an injected short
-// write — a torn partial line — and checks the next append starts on a
-// fresh line so only the faulted record is lost.
-func TestAppendFaultResync(t *testing.T) {
-	// Op 1: op 0 is the segment header write; op 1 is the first record.
-	fs := faultfs.New(nil, &faultfs.Plan{Faults: []faultfs.Fault{{Kind: faultfs.ShortWrite, Op: 1}}}, t.Logf)
-	dir := t.TempDir()
-	j, err := OpenFS(fs, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := appendSync(j, jobRec(0)); !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("faulted append err = %v, want injected", err)
-	}
-	for i := 1; i < 4; i++ {
-		if err := appendSync(j, jobRec(i)); err != nil {
-			t.Fatalf("append %d after resync: %v", i, err)
-		}
-	}
-	j.Close()
-
-	j2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	recs, stats := collect(t, j2)
-	if len(recs) != 3 {
-		t.Fatalf("replayed %d records, want the 3 post-fault appends (stats %+v)", len(recs), stats)
-	}
-	if stats.Corrupt != 1 {
-		t.Fatalf("the torn half-line should scan as 1 corrupt line, stats %+v", stats)
-	}
-	if recs[0].Job != "c0001" {
-		t.Fatalf("first surviving record is %s, want c0001", recs[0].Job)
 	}
 }
 
@@ -362,11 +340,7 @@ func TestSegmentRotation(t *testing.T) {
 		}
 	}
 	j.Close()
-	segs, err := j.segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 2 {
+	if segs := segments(t, dir); len(segs) < 2 {
 		t.Fatalf("%d oversized appends stayed in %d segment(s), want rotation", n, len(segs))
 	}
 	j2, err := Open(dir)
@@ -385,7 +359,8 @@ func TestSegmentRotation(t *testing.T) {
 // threshold, rotating onto a new one.
 func TestAppendAfterClose(t *testing.T) {
 	for _, segCap := range []int{0, 1} {
-		j, err := Open(t.TempDir())
+		dir := t.TempDir()
+		j, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,18 +371,11 @@ func TestAppendAfterClose(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		before, err := j.segments()
-		if err != nil {
-			t.Fatal(err)
-		}
+		before := segments(t, dir)
 		if err := appendSync(j, jobRec(1)); !errors.Is(err, os.ErrClosed) {
 			t.Fatalf("segment cap %d: appendSync after Close: %v, want os.ErrClosed", segCap, err)
 		}
-		after, err := j.segments()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(after) != len(before) {
+		if after := segments(t, dir); len(after) != len(before) {
 			t.Fatalf("segment cap %d: appendSync after Close left %d segments, want %d", segCap, len(after), len(before))
 		}
 	}
@@ -470,26 +438,23 @@ func TestConcurrentCorruptionHammer(t *testing.T) {
 
 		// Adversary: flip bytes inside one committed record of this
 		// generation's segment. splitmix64-free determinism: always the
-		// second record line.
-		seg := filepath.Join(dir, segName(gen))
+		// second frame.
+		seg := segPath(dir, gen)
 		data, err := os.ReadFile(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines := strings.SplitAfter(string(data), "\n")
-		if len(lines) > 2 {
-			victim := lines[2]
+		var frames []store.Frame
+		store.ScanBytes(data, func(f store.Frame) { frames = append(frames, f) })
+		if len(frames) > 1 {
+			victim := frames[1]
 			var rec Record
-			if r, err := parseLine([]byte(strings.TrimSuffix(victim, "\n"))); err == nil {
-				rec = r
-			} else {
-				t.Fatalf("gen %d victim line unparseable before corruption: %v", gen, err)
+			if err := json.Unmarshal(victim.Payload, &rec); err != nil {
+				t.Fatalf("gen %d victim record undecodable before corruption: %v", gen, err)
 			}
 			corrupted[rec.Job] = true
-			flipped := []byte(victim)
-			flipped[len(flipped)/2] ^= 0xFF
-			lines[2] = string(flipped)
-			if err := os.WriteFile(seg, []byte(strings.Join(lines, "")), 0o644); err != nil {
+			data[victim.Off+victim.Size/2] ^= 0xFF
+			if err := os.WriteFile(seg, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -530,7 +495,7 @@ func TestConcurrentCorruptionHammer(t *testing.T) {
 	// Mid-hammer replays may already have captured earlier generations'
 	// damage, so assert the lifetime total rather than this pass's count.
 	if n, err := j.Quarantined(); err != nil || n != len(corrupted) {
-		t.Errorf("Quarantined() = %d, %v; want %d (one per damaged segment)", n, err, len(corrupted))
+		t.Errorf("Quarantined() = %d, %v; want %d (one per damaged record)", n, err, len(corrupted))
 	}
 	want := len(written) - len(corrupted)
 	if len(got) != want {
@@ -651,7 +616,7 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writes := fs.writes.Load() // the segment header
+	writes := fs.writes.Load()
 
 	errs := make(chan error, n)
 	go func() { errs <- appendSync(j, jobRec(0)) }()
@@ -861,27 +826,6 @@ func TestSegmentCallsNeverOverlap(t *testing.T) {
 	}
 }
 
-// TestWriteRefusesNewlineInResult: Write splices a result into its
-// line unchecked, so one holding a newline, which would split the
-// line, fails the whole Write and buffers none of its records.
-func TestWriteRefusesNewlineInResult(t *testing.T) {
-	j, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	bad := Record{T: TypeEvent, Job: "c0001", State: "done", Result: json.RawMessage("{\"ipc\":\n1}")}
-	if _, err := j.Write(jobRec(1), bad); err == nil {
-		t.Fatal("Write accepted a result holding a newline")
-	}
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if recs, _ := collect(t, j); len(recs) != 0 {
-		t.Fatalf("the refused Write left %d records", len(recs))
-	}
-}
-
 // TestSegmentCopiesNotReplayed: only a file named exactly like a
 // segment is one. A backup copy of the second segment, or the same
 // number unpadded, leaves the replayed records unchanged.
@@ -902,11 +846,11 @@ func TestSegmentCopiesNotReplayed(t *testing.T) {
 	if len(want) != 3 {
 		t.Fatalf("replayed %d records, want 3", len(want))
 	}
-	data, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	data, err := os.ReadFile(segPath(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{segName(1) + ".bak", "seg-1.wal"} {
+	for _, name := range []string{filepath.Base(segPath(dir, 1)) + ".bak", "seg-1.log"} {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func BenchmarkRecover(b *testing.B) {
 		}
 	}
 	jrn.Close()
-	written, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	written, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func BenchmarkRecover(b *testing.B) {
 		jrn.Close()
 		// Each Open starts a segment of its own; drop it so every
 		// iteration replays the same journal.
-		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 		for _, seg := range segs {
 			if !slices.Contains(written, seg) {
 				os.Remove(seg)

@@ -121,7 +121,8 @@ func TestFinishJournalsEndWithLastEvent(t *testing.T) {
 		}
 	}
 	fs.mu.Unlock()
-	lines := strings.Split(strings.TrimSuffix(string(endWrite), "\n"), "\n")
+	var lines []string
+	store.ScanBytes(endWrite, func(f store.Frame) { lines = append(lines, string(f.Payload)) })
 	if len(lines) < 2 || !strings.Contains(lines[len(lines)-1], `"t":"end"`) ||
 		!strings.Contains(lines[len(lines)-2], `"state":"done"`) {
 		t.Fatalf("the end record's write is %q; want it to end with the last done event, then the end record", endWrite)
@@ -312,7 +313,8 @@ func TestJournalRecoveryRestoresFinishedJob(t *testing.T) {
 	if len(writes) != 1 {
 		t.Fatalf("the resubmission made %d segment writes, want 1", len(writes))
 	}
-	lines := strings.Split(strings.TrimSuffix(string(writes[0]), "\n"), "\n")
+	var lines []string
+	store.ScanBytes(writes[0], func(f store.Frame) { lines = append(lines, string(f.Payload)) })
 	if len(lines) != 2+len(req.Configs) || !strings.Contains(lines[0], `"t":"job"`) ||
 		!strings.Contains(lines[len(lines)-1], `"t":"end"`) {
 		t.Fatalf("the resubmission's write is %q; want the job record, a done event per unit, then the end record", writes[0])
@@ -695,7 +697,7 @@ func TestRecoverIgnoresSegmentCopies(t *testing.T) {
 			}
 		}
 		jrn.Close()
-		seg1 := filepath.Join(dir, "journal", "seg-00000001.wal")
+		seg1 := filepath.Join(dir, "journal", "seg-00000001.log")
 		data, err := os.ReadFile(seg1)
 		if err != nil || bytes.Count(data, []byte(`"t":"event"`)) != 2 {
 			t.Fatalf("segment 1 = %q (%v), want the two events", data, err)
@@ -723,7 +725,7 @@ func TestRecoverIgnoresSegmentCopies(t *testing.T) {
 	if len(wantEvents) != 2 || wantStatus.Deduped != 2 || wantStatus.State != JobComplete {
 		t.Fatalf("clean journal recovered %+v, status %+v", wantEvents, wantStatus)
 	}
-	gotEvents, gotStatus := recovered(t, forge(t, "seg-00000001.wal.bak", "seg-1.wal"))
+	gotEvents, gotStatus := recovered(t, forge(t, "seg-00000001.log.bak", "seg-1.log"))
 	if !reflect.DeepEqual(gotEvents, wantEvents) || gotStatus != wantStatus {
 		t.Fatalf("with segment copies: events %+v, status %+v; want %+v, %+v",
 			gotEvents, gotStatus, wantEvents, wantStatus)
@@ -732,8 +734,8 @@ func TestRecoverIgnoresSegmentCopies(t *testing.T) {
 
 // TestRemoteResultCompactedOnce: a fleet completion whose result holds
 // spaces and newlines is compacted where it enters the service. It is
-// journaled as one line, replays to the compact bytes, and reads back
-// from /results as the same cpu.Result.
+// journaled compact, replays to the compact bytes, and reads back from
+// /results as the same cpu.Result.
 func TestRemoteResultCompactedOnce(t *testing.T) {
 	dir := t.TempDir()
 	svc, cl := journaledService(t, dir, Config{CoordinatorOnly: true})
@@ -766,21 +768,21 @@ func TestRemoteResultCompactedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, _ := filepath.Glob(filepath.Join(dir, "journal", "seg-*.wal"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "journal", "seg-*.log"))
 	var done []string
 	for _, seg := range segs {
 		data, err := os.ReadFile(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if strings.Contains(line, `"state":"done"`) {
-				done = append(done, line)
+		store.ScanBytes(data, func(f store.Frame) {
+			if rec := string(f.Payload); strings.Contains(rec, `"state":"done"`) {
+				done = append(done, rec)
 			}
-		}
+		})
 	}
 	if len(done) != 1 || !strings.HasSuffix(done[0], `,"result":`+string(compact)+"}") {
-		t.Fatalf("done event lines %q, want one ending in the compact result %s", done, compact)
+		t.Fatalf("done event records %q, want one ending in the compact result %s", done, compact)
 	}
 
 	var replayed []json.RawMessage

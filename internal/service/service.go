@@ -917,7 +917,7 @@ type RecoverStats struct {
 	Finished int // of those, jobs already terminal (nothing to run)
 	Requeued int // incomplete units re-enqueued
 	Replayed int // intact journal records applied
-	Corrupt  int // journal lines dropped by checksum/framing
+	Corrupt  int // journal records dropped by checksum/framing
 	Torn     int // torn segment tails (crash-mid-append signatures)
 }
 
@@ -971,7 +971,7 @@ func (s *Service) Recover() (RecoverStats, error) {
 	s.leases.SetFence(maxToken)
 	rs.Replayed, rs.Corrupt, rs.Torn = stats.Records, stats.Corrupt, stats.Torn
 	s.counter("service_journal_replayed_records_total", "journal records replayed intact at startup", nil).Add(uint64(stats.Records))
-	s.counter("service_journal_corrupt_records_total", "journal lines dropped as corrupt at startup", nil).Add(uint64(stats.Corrupt))
+	s.counter("service_journal_corrupt_records_total", "journal records dropped as corrupt at startup", nil).Add(uint64(stats.Corrupt))
 	if stats.Torn > 0 {
 		s.counter("service_journal_torn_tails_total", "torn journal segment tails (crash mid-append)", nil).Add(uint64(stats.Torn))
 	}

@@ -17,9 +17,8 @@
 // reports success but the destination never appears, exactly what a
 // power cut between a rename's journal commit and its directory-entry
 // write leaves behind. It hits the atomic-write protocol
-// (store.WriteFileAtomicFS, used by the journal's quarantine copies and
-// the CLIs' artifacts); the artifact store appends to segments and
-// renames nothing.
+// (store.WriteFileAtomicFS, which writes the CLIs' artifacts); the
+// segment log under the store and the journal renames nothing.
 package faultfs
 
 import (
@@ -47,8 +46,8 @@ const (
 	// WriteEIO fails one File.Write with EIO after writing nothing.
 	WriteEIO Kind = iota
 	// ShortWrite writes only the first half of one File.Write's bytes,
-	// then fails with EIO — the torn-record case append-only formats
-	// must re-synchronize after.
+	// then fails with EIO — the torn frame an append-only log must
+	// leave only at a segment's tail.
 	ShortWrite
 	// WriteENOSPC fails one File.Write with ENOSPC.
 	WriteENOSPC
@@ -218,8 +217,6 @@ func (f *FS) ReadAt(name string, p []byte, off int64) (int, error) {
 }
 
 func (f *FS) ReadDir(name string) ([]os.DirEntry, error) { return f.inner.ReadDir(name) }
-
-func (f *FS) Stat(name string) (os.FileInfo, error) { return f.inner.Stat(name) }
 
 // faultFile interposes on the write-side file operations.
 type faultFile struct {

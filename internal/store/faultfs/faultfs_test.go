@@ -213,7 +213,7 @@ func TestStoreSurvivesWriteFaults(t *testing.T) {
 			if !ok || err != nil || got != "payload" {
 				t.Fatalf("Get after retry: ok=%v %q %v", ok, got, err)
 			}
-			if segs, _ := filepath.Glob(filepath.Join(dir, "objects", "*.pack")); len(segs) != tc.segs {
+			if segs, _ := filepath.Glob(filepath.Join(dir, "objects", "seg-*.log")); len(segs) != tc.segs {
 				t.Fatalf("segments = %v, want %d", segs, tc.segs)
 			}
 			re, err := store.Open(dir)

@@ -5,9 +5,9 @@ import (
 	"os"
 )
 
-// File is the handle an FS hands out for writing: the store's segment
-// appends, the atomic writes and the service journal's appends need
-// exactly write, sync, close and the backing name.
+// File is the handle an FS hands out for writing: the segment log's
+// appends and quarantine copies and the atomic writes need exactly
+// write, sync, close and the backing name.
 type File interface {
 	io.Writer
 	Sync() error
@@ -15,9 +15,9 @@ type File interface {
 	Name() string
 }
 
-// FS is the storage seam under the store and the service journal.
-// Every byte either component moves to or from disk goes through one
-// of these methods, which is what lets faultfs (internal/store/faultfs)
+// FS is the storage seam under the segment log, and so under the store
+// and the service journal. Every byte either moves to or from disk goes
+// through one of these methods, which is what lets faultfs (internal/store/faultfs)
 // inject EIO, short writes, fsync failures, ENOSPC and rename drops at
 // exact operation indices without touching a real kernel.
 type FS interface {
@@ -25,8 +25,10 @@ type FS interface {
 	// CreateTemp opens an exclusive temporary file in dir (os.CreateTemp
 	// semantics) for the atomic-write protocol.
 	CreateTemp(dir, pattern string) (File, error)
-	// OpenAppend opens path for appending, creating it when absent —
-	// the store's and the journal's segment handle.
+	// OpenAppend creates path for appending. It fails with an error
+	// wrapping fs.ErrExist when path exists, so a file is never
+	// appended to by two owners: the segment log's segments and
+	// quarantine copies.
 	OpenAppend(path string, perm os.FileMode) (File, error)
 	Chmod(name string, mode os.FileMode) error
 	Rename(oldpath, newpath string) error
@@ -37,7 +39,6 @@ type FS interface {
 	// the file) — the store's positional read of a frame or a header.
 	ReadAt(name string, p []byte, off int64) (int, error)
 	ReadDir(name string) ([]os.DirEntry, error)
-	Stat(name string) (os.FileInfo, error)
 }
 
 // osFS is the production FS: a thin pass-through to the os package.
@@ -59,7 +60,7 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 }
 
 func (osFS) OpenAppend(path string, perm os.FileMode) (File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, perm)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, perm)
 	if err != nil {
 		return nil, err
 	}
@@ -84,5 +85,3 @@ func (osFS) ReadAt(name string, p []byte, off int64) (int, error) {
 }
 
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
-
-func (osFS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }

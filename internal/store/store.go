@@ -3,39 +3,32 @@
 // region profiles, timing traces and simulation results are written
 // through to disk as checksummed, schema-versioned records keyed by a
 // canonical hash of (kind, workload, scale, instruction budget,
-// machine configuration, code version).
+// machine configuration, code version). The package also holds the
+// segment log (Log) that the store and arld's journal keep their
+// records in, and the FS seam every byte of both moves through.
 //
-// Records live in append-only segment files, objects/seg-<pid>-<ns>.pack.
-// Each Store appends to a segment of its own, opened at its first Put;
-// a record is one frame: the "arlstore1 " magic, a JSON header line
-// carrying the key, the key's hash, the payload length and the payload
-// SHA-256, then the payload. An in-memory index maps each key's hash to
-// the frame that holds it.
+// Records live in a Log under objects/, one frame each. A record's
+// payload is a JSON header line carrying the key, the key's hash, the
+// data length and the data's SHA-256, then the data. An in-memory
+// index maps each key's hash to the frame that holds it.
 //
-// Durability discipline:
-//
-//   - A Put is one write and one fsync of its frame, and the index
-//     names the frame only after the fsync returns. A failed or short
-//     write, or a failed fsync, abandons the segment; the next Put
-//     opens a fresh one, so a torn frame is only ever a segment's tail.
+//   - A Put writes its frame under no lock and waits for the Log's
+//     group commit, so concurrent Puts share an fsync. The index names
+//     the frame only once it is durable.
 //   - Open only creates the directories. The first Get or Put builds
-//     the index: it scans every segment header by header, never
-//     reading a payload, in the order the segments were created. The
-//     last frame for a key wins, a torn tail is skipped and counted,
-//     and a header that does not parse is skipped up to the next
-//     magic. A process that never reads or writes a record never
-//     scans. A Get that misses first scans what other processes
-//     appended since, so stores on one directory share records.
-//   - Reads are verified: every record carries its payload length and
-//     SHA-256, and re-states its own key and that key's hash. A scan
-//     passes over a header whose key does not match its hash like any
-//     damaged header, so a flipped bit in a key never files the frame
-//     under another key. A record that fails any check
-//     (bad magic, malformed header, wrong key, short payload, checksum
-//     mismatch, undecodable payload) is copied into quarantine/ for
-//     post-mortem, dropped from the index and reported as a miss, so
-//     the caller recomputes instead of failing the run; its fresh Put
-//     is a later frame and wins every later scan.
+//     the index: it scans every segment in the order the segments were
+//     created, reading each frame's header and record header but no
+//     data. The last frame for a key wins; what the scan skips (torn
+//     tails, damaged frames, record headers whose key does not match
+//     their hash) is counted in Stats.Torn. A process that never reads
+//     or writes a record never scans. A Get that misses first scans
+//     what other Stores appended since, so Stores on one directory
+//     share records.
+//   - Reads are verified: the frame's checksum, the record's schema,
+//     key, key hash, data length and SHA-256. A record that fails any
+//     check is quarantined, dropped from the index and reported as a
+//     miss, so the caller recomputes instead of failing the run; its
+//     fresh Put is a later frame and wins every later scan.
 //
 // The store is safe for concurrent use by any number of goroutines —
 // the worker pool of one campaign, or every client of a long-running
@@ -47,7 +40,6 @@ package store
 
 import (
 	"bytes"
-	"cmp"
 	"crypto/sha256"
 	"encoding"
 	"encoding/gob"
@@ -56,25 +48,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
 
 // RecordSchema identifies the on-disk record format; bump on any
 // incompatible change to the header or payload framing.
-const RecordSchema = "arl-store/v2"
-
-// magic opens every frame; the header JSON follows on the same line,
-// then the raw payload bytes.
-const magic = "arlstore1 "
+const RecordSchema = "arl-store/v3"
 
 // ErrCorrupt marks a record that failed verification. Corrupt records
 // are quarantined and surfaced as misses by Get; the sentinel exists
@@ -120,10 +104,9 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s/%s@%d n=%d %s", k.Kind, k.Workload, k.Scale, k.MaxInsts, k.Config)
 }
 
-// header is the self-describing first line of a frame. KeyHash
-// restates Key.Hash(): the payload checksum does not cover the key, so
-// without it a flipped bit in a key field would file the frame under
-// another valid key.
+// header is the first line of a record. KeyHash restates Key.Hash():
+// the data checksum does not cover the key, so without it a flipped
+// bit in a key field would file the frame under another valid key.
 type header struct {
 	Schema  string `json:"schema"`
 	Key     Key    `json:"key"`
@@ -132,28 +115,22 @@ type header struct {
 	SHA256  string `json:"sha256"`
 }
 
+// maxHeader bounds a frame header plus a record header line: a scan
+// reads no more of a frame than this.
+const maxHeader = 4 << 10
+
 // Stats are the store's monotonic operation counters.
 type Stats struct {
 	Hits    uint64 // Get found a verified record
 	Misses  uint64 // Get found nothing
 	Writes  uint64 // Put committed a record
 	Corrupt uint64 // records quarantined after failing verification
-	Torn    uint64 // stretches the index build skipped: torn tails and unparsable headers
+	Torn    uint64 // what the index build skipped: torn tails, damaged frames and record headers
 }
 
 // Store is a content-addressed artifact store rooted at one directory.
 type Store struct {
-	root string
-	fs   FS
-
-	// amu orders frames in the active segment and guards the three
-	// fields below; seg is nil until the first Put, after a failed
-	// write abandons the segment and after Close. Every frame is synced
-	// before its Put returns, so closing the segment flushes nothing.
-	amu     sync.Mutex
-	seg     File
-	segPath string
-	segSize int64
+	log *Log // the segments under objects/
 
 	// built is set once the index is built, on the first Get or Put
 	// whose build succeeds; buildMu makes the others wait for it. A
@@ -167,12 +144,12 @@ type Store struct {
 	index map[string]loc      // key hash -> the frame that holds it
 	segs  map[string]segState // segment path -> what scans have read
 
-	// log receives one line per notable event (quarantine, resume
+	// logFn receives one line per notable event (quarantine, resume
 	// hit). Held behind an atomic pointer so SetLog is safe at any
 	// time, including while other goroutines read and write records —
 	// a long-running service attaches and detaches logging without a
 	// quiesce.
-	log atomic.Pointer[func(format string, args ...any)]
+	logFn atomic.Pointer[func(format string, args ...any)]
 
 	hits    atomic.Uint64
 	misses  atomic.Uint64
@@ -185,24 +162,23 @@ type Store struct {
 type loc struct {
 	path string // segment file
 	off  int64  // first byte of the frame
-	n    int64  // frame length: header line plus payload
+	n    int64  // frame length
 }
 
-// segState is what this Store has read of one segment.
+// segState is what this Store has read of another writer's segment.
 type segState struct {
 	scanned int64 // frames before this offset are indexed
 	seen    int64 // the segment's size when it was last scanned
-	own     bool  // this Store appends to it; Put indexes its frames
 }
 
 // SetLog installs fn as the store's event log hook (nil disables
 // logging). Safe to call concurrently with any other store operation.
 func (s *Store) SetLog(fn func(format string, args ...any)) {
 	if fn == nil {
-		s.log.Store(nil)
+		s.logFn.Store(nil)
 		return
 	}
-	s.log.Store(&fn)
+	s.logFn.Store(&fn)
 }
 
 // Open opens (creating as needed) the store rooted at dir. It reads
@@ -216,13 +192,11 @@ func Open(dir string) (*Store, error) {
 // the storage-fault chaos harness uses to interpose faultfs between
 // the store and the disk. It only creates the directories.
 func OpenFS(dir string, fs FS) (*Store, error) {
-	s := &Store{root: dir, fs: fs, index: map[string]loc{}, segs: map[string]segState{}}
-	for _, sub := range []string{s.objectsDir(), s.quarantineDir()} {
-		if err := fs.MkdirAll(sub, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
+	l, err := OpenLog(fs, filepath.Join(dir, "objects"), filepath.Join(dir, "quarantine"))
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &Store{log: l, index: map[string]loc{}, segs: map[string]segState{}}, nil
 }
 
 // buildIndex indexes the segments on disk on the first Get or Put;
@@ -247,11 +221,8 @@ func (s *Store) buildIndex() error {
 	return nil
 }
 
-func (s *Store) objectsDir() string    { return filepath.Join(s.root, "objects") }
-func (s *Store) quarantineDir() string { return filepath.Join(s.root, "quarantine") }
-
 func (s *Store) logf(format string, args ...any) {
-	if fn := s.log.Load(); fn != nil {
+	if fn := s.logFn.Load(); fn != nil {
 		(*fn)(format, args...)
 	}
 }
@@ -305,34 +276,6 @@ func decodePayload(data []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
-// segExt names segment files; anything else under objects/ (such as
-// the shard directories of the file-per-record layout) is ignored.
-const segExt = ".pack"
-
-// lastStamp keeps segment stamps strictly increasing within the
-// process, so two Stores on one directory never share a segment.
-var lastStamp atomic.Int64
-
-// segmentName names a fresh segment after the writing process and a
-// nanosecond stamp.
-func segmentName() string {
-	now := time.Now().UnixNano()
-	for {
-		last := lastStamp.Load()
-		now = max(now, last+1)
-		if lastStamp.CompareAndSwap(last, now) {
-			return fmt.Sprintf("seg-%d-%d%s", os.Getpid(), now, segExt)
-		}
-	}
-}
-
-// segmentStamp is the creation stamp segmentName put in name, or 0.
-func segmentStamp(name string) int64 {
-	base := strings.TrimSuffix(name, segExt)
-	n, _ := strconv.ParseInt(base[strings.LastIndexByte(base, '-')+1:], 10, 64)
-	return n
-}
-
 // Put serializes v and appends it under k as one frame. A later frame
 // for k supersedes an earlier one (same key means same inputs, so the
 // bytes should agree; superseding also heals a quarantined key).
@@ -340,83 +283,40 @@ func (s *Store) Put(k Key, v any) error {
 	if err := s.buildIndex(); err != nil {
 		return err
 	}
-	payload, err := encodePayload(v)
+	data, err := encodePayload(v)
 	if err != nil {
 		return fmt.Errorf("store: encoding %s: %w", k, err)
 	}
-	sum := sha256.Sum256(payload)
+	sum := sha256.Sum256(data)
 	h := k.Hash()
 	hdr, err := json.Marshal(header{
 		Schema:  RecordSchema,
 		Key:     k,
 		KeyHash: h,
-		Len:     len(payload),
+		Len:     len(data),
 		SHA256:  hex.EncodeToString(sum[:]),
 	})
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	rec := make([]byte, 0, len(magic)+len(hdr)+1+len(payload))
-	rec = append(rec, magic...)
-	rec = append(rec, hdr...)
-	rec = append(rec, '\n')
-	rec = append(rec, payload...)
-	s.amu.Lock()
-	//arlvet:allow lockheld frames must enter the segment one at a time at known offsets, and a failed write or fsync must abandon the segment before another frame lands behind it; amu guards only the active segment, and the index lock is never held across I/O
-	at, err := s.appendLocked(rec)
-	s.amu.Unlock()
-	if err != nil {
+	rec := make([]byte, 0, len(hdr)+1+len(data))
+	rec = append(append(append(rec, hdr...), '\n'), data...)
+	pos := s.log.Write(rec)
+	if err := s.log.Sync(pos); err != nil {
 		return fmt.Errorf("store: writing %s: %w", k, err)
 	}
+	path, off := pos.At()
 	s.mu.Lock()
-	s.index[h] = at
+	s.index[h] = loc{path: path, off: off, n: frameHeader + int64(len(rec))}
 	s.mu.Unlock()
 	s.writes.Add(1)
 	return nil
 }
 
-// appendLocked writes rec to the end of the active segment and syncs
-// it, opening a fresh segment first when there is none. The caller
-// holds amu. A failed write or sync abandons the segment.
-func (s *Store) appendLocked(rec []byte) (loc, error) {
-	if s.seg == nil {
-		path := filepath.Join(s.objectsDir(), segmentName())
-		s.mu.Lock()
-		s.segs[path] = segState{own: true}
-		s.mu.Unlock()
-		f, err := s.fs.OpenAppend(path, 0o644)
-		if err != nil {
-			return loc{}, err
-		}
-		s.seg, s.segPath, s.segSize = f, path, 0
-	}
-	_, err := s.seg.Write(rec)
-	if err == nil {
-		err = s.seg.Sync()
-	}
-	if err != nil {
-		s.seg.Close()
-		s.seg = nil
-		return loc{}, err
-	}
-	at := loc{path: s.segPath, off: s.segSize, n: int64(len(rec))}
-	s.segSize += at.n
-	return at, nil
-}
-
 // Close releases the active segment's file handle. Every frame is
 // already durable, so this only frees the descriptor; a Put after
 // Close opens a fresh segment.
-func (s *Store) Close() error {
-	s.amu.Lock()
-	defer s.amu.Unlock()
-	if s.seg == nil {
-		return nil
-	}
-	err := s.seg.Close()
-	s.seg = nil
-	return err
-}
+func (s *Store) Close() error { return s.log.Close() }
 
 // Get looks k up and decodes the stored payload into v (a pointer).
 // It reports whether a verified record was found. A record that fails
@@ -431,7 +331,7 @@ func (s *Store) Get(k Key, v any) (bool, error) {
 	h := k.Hash()
 	at, ok := s.lookup(h)
 	if !ok {
-		// Another process may have appended the record since.
+		// Another Store may have appended the record since.
 		if err := s.refresh(false); err != nil {
 			return false, fmt.Errorf("store: scanning for %s: %w", k, err)
 		}
@@ -440,12 +340,16 @@ func (s *Store) Get(k Key, v any) (bool, error) {
 			return false, nil
 		}
 	}
-	data := make([]byte, at.n)
-	n, err := s.fs.ReadAt(at.path, data, at.off)
+	frame := make([]byte, at.n)
+	n, err := s.log.fs.ReadAt(at.path, frame, at.off)
 	if err != nil && !errors.Is(err, io.EOF) {
 		return false, fmt.Errorf("store: reading %s: %w", k, err)
 	}
-	if err := verify(data[:n], k, h, v); err != nil {
+	rec, err := decodeFrame(frame[:n])
+	if err == nil {
+		err = verify(rec, k, h, v)
+	}
+	if err != nil {
 		s.corrupt.Add(1)
 		s.misses.Add(1)
 		s.mu.Lock()
@@ -453,7 +357,7 @@ func (s *Store) Get(k Key, v any) (bool, error) {
 			delete(s.index, h)
 		}
 		s.mu.Unlock()
-		if qerr := s.quarantine(h, data[:n]); qerr != nil {
+		if _, qerr := s.log.quarantine(at.path, at.off, frame[:n]); qerr != nil {
 			return false, fmt.Errorf("store: quarantining %s: %v (after: %w)", k, qerr, err)
 		}
 		s.logf("store: quarantined %s: %v", k, err)
@@ -470,120 +374,99 @@ func (s *Store) lookup(h string) (loc, bool) {
 	return at, ok
 }
 
-// verify checks a raw record against its key k, whose hash is h, and
-// decodes the payload into v. Every failure wraps ErrCorrupt.
-func verify(data []byte, k Key, h string, v any) error {
-	rest, ok := bytes.CutPrefix(data, []byte(magic))
-	if !ok {
-		return fmt.Errorf("%w: bad magic", ErrCorrupt)
+// parseHeader parses the header line at the start of rec, a record or
+// its first bytes, and returns it with the offset of the data after
+// it. ok is false unless the header parses, has this schema, and its
+// key hashes to the hash it states.
+func parseHeader(rec []byte) (hdr header, data int, ok bool) {
+	nl := bytes.IndexByte(rec, '\n')
+	if nl < 0 || json.Unmarshal(rec[:nl], &hdr) != nil || hdr.Schema != RecordSchema || hdr.KeyHash != hdr.Key.Hash() {
+		return header{}, 0, false
 	}
-	nl := bytes.IndexByte(rest, '\n')
-	if nl < 0 {
-		return fmt.Errorf("%w: unterminated header", ErrCorrupt)
-	}
-	var hdr header
-	if err := json.Unmarshal(rest[:nl], &hdr); err != nil {
-		return fmt.Errorf("%w: malformed header: %v", ErrCorrupt, err)
-	}
-	if hdr.Schema != RecordSchema {
-		return fmt.Errorf("%w: schema %q, want %q", ErrCorrupt, hdr.Schema, RecordSchema)
-	}
-	if hdr.Key != k || hdr.KeyHash != h {
+	return hdr, nl + 1, true
+}
+
+// verify checks a record against its key k, whose hash is h, and
+// decodes its data into v. Every failure wraps ErrCorrupt.
+func verify(rec []byte, k Key, h string, v any) error {
+	hdr, at, ok := parseHeader(rec)
+	switch {
+	case !ok:
+		return fmt.Errorf("%w: malformed header", ErrCorrupt)
+	case hdr.Key != k || hdr.KeyHash != h:
 		return fmt.Errorf("%w: record key %v (hash %.12s) does not match requested %v", ErrCorrupt, hdr.Key, hdr.KeyHash, k)
+	case len(rec)-at != hdr.Len:
+		return fmt.Errorf("%w: data %d bytes, header says %d", ErrCorrupt, len(rec)-at, hdr.Len)
 	}
-	payload := rest[nl+1:]
-	if len(payload) != hdr.Len {
-		return fmt.Errorf("%w: payload %d bytes, header says %d", ErrCorrupt, len(payload), hdr.Len)
-	}
-	sum := sha256.Sum256(payload)
+	sum := sha256.Sum256(rec[at:])
 	if hex.EncodeToString(sum[:]) != hdr.SHA256 {
-		return fmt.Errorf("%w: payload checksum mismatch", ErrCorrupt)
+		return fmt.Errorf("%w: data checksum mismatch", ErrCorrupt)
 	}
-	if err := decodePayload(payload, v); err != nil {
-		return fmt.Errorf("%w: undecodable payload: %v", ErrCorrupt, err)
+	if err := decodePayload(rec[at:], v); err != nil {
+		return fmt.Errorf("%w: undecodable data: %v", ErrCorrupt, err)
 	}
 	return nil
 }
 
-// quarantine copies a failed frame aside for post-mortem instead of
-// losing the evidence; a numbered suffix keeps repeated quarantines of
-// one key from clobbering each other.
-func (s *Store) quarantine(name string, frame []byte) error {
-	dst := filepath.Join(s.quarantineDir(), name)
-	for i := 1; ; i++ {
-		if _, err := s.fs.Stat(dst); errors.Is(err, os.ErrNotExist) {
-			break
-		}
-		dst = filepath.Join(s.quarantineDir(), fmt.Sprintf("%s.%d", name, i))
-	}
-	f, err := s.fs.OpenAppend(dst, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(frame)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// refresh indexes the frames written since this Store last looked:
-// segments it has not seen, and bytes appended to those it has. It
-// skips its own segments, whose frames Put indexes. Segments are
-// taken in the order of the creation stamp in their names, not of the
-// pid before it, so a record recomputed after a restart replaces the
-// one it heals; within a segment a later frame replaces an earlier
-// one. A segment that cannot be read now is left for the next
-// refresh; only a failure to list the directory is returned. build
-// (the index build's scan) counts the stretches the scans skipped into
-// Stats.Torn.
+// refresh indexes the frames other writers appended since this Store
+// last looked: segments it has not seen, and bytes appended to those
+// it has. It skips its own segments, whose frames Put indexes.
+// Segments are taken in the order they were created, so a record
+// recomputed after a restart replaces the one it heals; within a
+// segment a later frame replaces an earlier one. A segment that cannot
+// be read now is left for the next refresh; only a failure to list the
+// directory is returned. build (the index build's scan) counts what
+// the scans skipped into Stats.Torn.
 func (s *Store) refresh(build bool) error {
-	ents, err := s.fs.ReadDir(s.objectsDir())
+	segs, err := s.log.Segments()
 	if err != nil {
 		return err
 	}
-	slices.SortStableFunc(ents, func(a, b os.DirEntry) int {
-		return cmp.Compare(segmentStamp(a.Name()), segmentStamp(b.Name()))
-	})
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), segExt) {
-			continue
+	type indexed struct {
+		hash string
+		at   loc
+	}
+	for _, seg := range segs {
+		info, err := seg.Entry.Info()
+		if err != nil || s.log.Owns(seg.Path) {
+			continue // removed since the listing, or written by this Store
 		}
-		info, err := e.Info()
-		if err != nil {
-			continue // removed since the listing
-		}
-		path := filepath.Join(s.objectsDir(), e.Name())
 		s.mu.Lock()
-		st := s.segs[path]
+		st := s.segs[seg.Path]
 		s.mu.Unlock()
-		if st.own || st.seen == info.Size() {
+		if st.seen == info.Size() {
 			continue
 		}
-		sc, err := scanSegment(s.fs, path, st.scanned, info.Size())
+		var found []indexed
+		skipped := 0
+		sc, err := s.log.Scan(seg.Path, st.scanned, info.Size(), maxHeader-frameHeader, func(f Frame) {
+			if hdr, _, ok := parseHeader(f.Payload); ok {
+				found = append(found, indexed{hdr.KeyHash, loc{path: seg.Path, off: f.Off, n: f.Size}})
+			} else {
+				skipped++
+			}
+		})
 		if err != nil {
-			s.logf("store: scanning %s: %v", path, err)
+			s.logf("store: scanning %s: %v", seg.Path, err)
 			continue
 		}
 		if build {
-			s.torn.Add(uint64(sc.skipped))
+			s.torn.Add(uint64(skipped + sc.Torn + sc.Corrupt))
 		}
 		s.mu.Lock()
 		// A concurrent refresh that indexed these bytes first wins.
-		if s.segs[path] == st {
-			for _, f := range sc.frames {
+		if s.segs[seg.Path] == st {
+			for _, f := range found {
 				s.index[f.hash] = f.at
 			}
-			s.segs[path] = segState{scanned: sc.end, seen: info.Size()}
+			s.segs[seg.Path] = segState{scanned: sc.End, seen: info.Size()}
 		}
 		s.mu.Unlock()
 	}
 	return nil
 }
 
-// Quarantined reports how many records have been moved to quarantine
-// over the store directory's lifetime (including prior processes).
-func (s *Store) Quarantined() (int, error) {
-	ents, err := s.fs.ReadDir(s.quarantineDir())
-	return len(ents), err
-}
+// Quarantined reports how many records and damaged stretches have been
+// copied to quarantine over the store directory's lifetime (including
+// prior processes).
+func (s *Store) Quarantined() (int, error) { return s.log.Quarantined() }

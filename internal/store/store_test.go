@@ -11,7 +11,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -164,7 +166,7 @@ func TestCorruptionQuarantined(t *testing.T) {
 	if q, err := s.Quarantined(); err != nil || q != 1 {
 		t.Fatalf("quarantined = (%d, %v), want 1", q, err)
 	}
-	evidence, err := os.ReadFile(filepath.Join(dir, "quarantine", k.Hash()))
+	evidence, err := os.ReadFile(filepath.Join(dir, "quarantine", filepath.Base(at.path)+"@"+strconv.FormatInt(at.off, 10)))
 	if err != nil || int64(len(evidence)) != at.n {
 		t.Fatalf("quarantine copy: %d bytes, %v; want the %d-byte frame", len(evidence), err, at.n)
 	}
@@ -195,16 +197,16 @@ func TestCorruptionQuarantined(t *testing.T) {
 	}
 }
 
-// TestCorruptHeaderVariants exercises the non-checksum corruption
-// paths on an indexed frame: bad magic, a header cut short, and a
-// payload one byte short.
+// TestCorruptHeaderVariants exercises the other corruption paths on an
+// indexed frame: bad magic, a record header cut short before its
+// newline, and a payload one byte short.
 func TestCorruptHeaderVariants(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mangle func([]byte) []byte
 	}{
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }},
-		{"no newline", func(b []byte) []byte { return b[:len(magic)+4] }},
+		{"no newline", func(b []byte) []byte { return b[:frameHeader+4] }},
 		{"truncated payload", func(b []byte) []byte { return b[:len(b)-1] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -270,13 +272,14 @@ func TestFlippedKeyNeverHits(t *testing.T) {
 				t.Fatal(err)
 			}
 			mangleFrame(t, frameOf(t, s, k), func(b []byte) []byte {
-				nl := bytes.IndexByte(b, '\n')
-				i := bytes.Index(b[:nl], []byte(tc.before))
+				rec := b[frameHeader:]
+				nl := bytes.IndexByte(rec, '\n')
+				i := bytes.Index(rec[:nl], []byte(tc.before))
 				if i < 0 {
-					t.Fatalf("header %s has no %s", b[:nl], tc.before)
+					t.Fatalf("header %s has no %s", rec[:nl], tc.before)
 				}
 				i += len(tc.before)
-				b[i] = tc.flip(b[i])
+				rec[i] = tc.flip(rec[i])
 				return b
 			})
 			reopened, err := Open(dir)
@@ -367,7 +370,7 @@ func TestTwoStoresShareDirectory(t *testing.T) {
 	}
 	back := putAll(t, b, "written-by-b")
 	wantHits(t, a, back...)
-	if segs, _ := filepath.Glob(filepath.Join(dir, "objects", "*"+segExt)); len(segs) != 2 {
+	if segs, _ := filepath.Glob(filepath.Join(dir, "objects", "seg-*.log")); len(segs) != 2 {
 		t.Fatalf("segments = %v, want one per writing Store", segs)
 	}
 }
@@ -409,15 +412,16 @@ func TestTornTailSkipped(t *testing.T) {
 }
 
 // TestLaterSegmentWins: when two segments hold a frame for one key,
-// the segment created later wins, whatever the pids in the names say.
-// A restart whose pid is smaller still heals a record it recomputed.
+// the segment created later, whose number is higher, wins, whatever
+// the order of the names as strings says.
 func TestLaterSegmentWins(t *testing.T) {
 	dir := t.TempDir()
 	k := testKey("result")
-	// Name order puts seg-9 after seg-10; stamp order puts it first.
+	// Name order puts seg-99999999 after seg-100000000; number order
+	// puts it first.
 	for _, w := range []struct{ name, value string }{
-		{"seg-9-100" + segExt, "stale"},
-		{"seg-10-200" + segExt, "fresh"},
+		{segName(99_999_999), "stale"},
+		{segName(100_000_000), "fresh"},
 	} {
 		s, err := Open(dir)
 		if err != nil {
@@ -467,9 +471,10 @@ func TestPutBeforeFirstGetWins(t *testing.T) {
 	}
 }
 
-// TestUnparsableHeaderResyncs damages the header of a frame in the
-// middle of a segment: the index build skips to the next magic, so the frames on
-// both sides of the damage stay readable.
+// TestUnparsableHeaderResyncs damages the length in the header of a
+// frame in the middle of a segment: the index build does not trust it
+// and skips to the next magic, so the frames on both sides of the
+// damage stay readable.
 func TestUnparsableHeaderResyncs(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -478,7 +483,7 @@ func TestUnparsableHeaderResyncs(t *testing.T) {
 	}
 	keys := putAll(t, s, "a", "b", "c")
 	mangleFrame(t, frameOf(t, s, keys[1]), func(b []byte) []byte {
-		b[len(magic)] = 'x' // the header's opening brace
+		b[4] ^= 0x40 // the payload length
 		return b
 	})
 
@@ -545,18 +550,20 @@ func TestOpenReadsHeadersOnly(t *testing.T) {
 }
 
 // TestOpenIgnoresV1Layout: records of the file-per-record layout
-// (objects/ab/<hash>) are not read; they are misses, and the directory
-// is otherwise usable.
+// (objects/ab/<hash>) and of the arl-store/v2 segments
+// (objects/seg-<pid>-<ns>.pack) are not read; they are misses, and the
+// directory is otherwise usable.
 func TestOpenIgnoresV1Layout(t *testing.T) {
 	dir := t.TempDir()
 	k := testKey("result")
 	h := k.Hash()
-	old := filepath.Join(dir, "objects", h[:2], h)
-	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(old, []byte(magic+"{}\n"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, old := range []string{filepath.Join(dir, "objects", h[:2], h), filepath.Join(dir, "objects", "seg-7-100.pack")} {
+		if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(old, []byte("arlstore1 {}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s, err := Open(dir)
 	if err != nil {
@@ -564,7 +571,7 @@ func TestOpenIgnoresV1Layout(t *testing.T) {
 	}
 	wantMiss(t, s, k)
 	if st := s.Stats(); st.Corrupt != 0 || st.Torn != 0 {
-		t.Fatalf("v1 record was read: %+v", st)
+		t.Fatalf("an old record was read: %+v", st)
 	}
 	k.Workload = k.Workload + "x"
 	putAll(t, s, k.Workload)
@@ -725,7 +732,7 @@ func TestCloseReleasesSegment(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	second := putAll(t, s, "b")
-	if segs, _ := filepath.Glob(filepath.Join(dir, "objects", "*"+segExt)); len(segs) != 2 {
+	if segs, _ := filepath.Glob(filepath.Join(dir, "objects", "seg-*.log")); len(segs) != 2 {
 		t.Fatalf("segments = %v, want a fresh one after Close", segs)
 	}
 	wantHits(t, s, append(first, second...)...)
@@ -810,4 +817,137 @@ func BenchmarkOpen(b *testing.B) {
 			b.Fatalf("indexed %d frames, want 504", len(s.index))
 		}
 	}
+}
+
+// statDeniedFS fails every Stat with EACCES.
+type statDeniedFS struct{ FS }
+
+func (statDeniedFS) Stat(name string) (os.FileInfo, error) {
+	return nil, &os.PathError{Op: "stat", Path: name, Err: syscall.EACCES}
+}
+
+// TestQuarantineNeedsNoStat: quarantining a corrupt frame probes for no
+// free name, so a filesystem whose Stat fails still gets a prompt miss;
+// the copy is named after the frame's segment and offset, so a second
+// Store finding the same damage makes no second copy.
+func TestQuarantineNeedsNoStat(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFS(dir, statDeniedFS{OS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey("result")
+	if err := s.Put(k, &payload{Name: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	mangleFrame(t, frameOf(t, s, k), func(b []byte) []byte {
+		b[len(b)-1] ^= 0x40
+		return b
+	})
+	for _, st := range []*Store{s, mustOpen(t, dir)} {
+		done := make(chan error, 1)
+		go func() {
+			var got payload
+			ok, err := st.Get(k, &got)
+			if ok {
+				err = fmt.Errorf("corrupt frame served as a hit: %+v", got)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a Get of a corrupt frame did not return")
+		}
+	}
+	if q, err := s.Quarantined(); err != nil || q != 1 {
+		t.Fatalf("quarantined = (%d, %v), want one copy of the one damage", q, err)
+	}
+}
+
+func mustOpen(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// syncGateFS holds every segment fsync until the gate opens, and counts
+// the fsyncs.
+type syncGateFS struct {
+	FS
+	entered chan struct{}
+	gate    chan struct{}
+	syncs   atomic.Int64
+}
+
+func (g *syncGateFS) OpenAppend(path string, perm os.FileMode) (File, error) {
+	f, err := g.FS.OpenAppend(path, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncGateFile{File: f, fs: g}, nil
+}
+
+type syncGateFile struct {
+	File
+	fs *syncGateFS
+}
+
+func (f syncGateFile) Sync() error {
+	f.fs.entered <- struct{}{}
+	<-f.fs.gate
+	f.fs.syncs.Add(1)
+	return f.File.Sync()
+}
+
+// TestPutsShareFsync: Puts queued behind one held fsync share the next
+// one: n Puts take two fsyncs, and every record is readable after a
+// reopen.
+func TestPutsShareFsync(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	fs := &syncGateFS{FS: OS(), entered: make(chan struct{}, n), gate: make(chan struct{})}
+	s, err := OpenFS(dir, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []Key
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		k := testKey("result")
+		k.Workload = strconv.Itoa(i)
+		keys = append(keys, k)
+		go func() { errs <- s.Put(k, &payload{Name: k.Workload}) }()
+		if i == 0 {
+			<-fs.entered // the first Put's fsync is held
+		}
+	}
+	// Wait for the other Puts to queue their frames behind it.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.log.mu.Lock()
+		queued := s.log.bufN
+		s.log.mu.Unlock()
+		if queued == n-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d Puts queued their frames", queued, n-1)
+		}
+	}
+	close(fs.gate)
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fs.syncs.Load(); got != 2 {
+		t.Fatalf("%d Puts took %d fsyncs, want 2", n, got)
+	}
+	wantHits(t, mustOpen(t, dir), keys...)
 }
