@@ -5,7 +5,11 @@
 // heartbeats to keep its leases alive, and publishes each result with
 // the lease's fencing token attached — so a worker that stalls past
 // its lease and comes back (a zombie writer) has its late completion
-// rejected with 409 instead of double-counting the unit.
+// rejected with 409 instead of double-counting the unit. Each
+// completion also asks for the worker's next unit, waiting up to
+// -poll as a lease request does, so a busy worker leases only its
+// first unit and then pays one round trip per unit; a coordinator
+// whose reply carries no grant sends it back to POST /api/v1/lease.
 //
 //	arld -coordinator -addr :8080 -store-dir /srv/arl &
 //	arlworker -coordinator http://localhost:8080 -store-dir /tmp/w1 -parallel 4

@@ -143,8 +143,9 @@ func submitRetry(t *testing.T, cl *Client, req CampaignRequest) JobStatus {
 // TestCrashRestartChaosDifferential is the crash-restart acceptance
 // test: a campaign driven across three SIGKILLs of the server — right
 // after acceptance, mid-campaign with results landed, and after the
-// job is terminal — with storage faults injected on every recovery
-// path, must converge to a final report byte-identical to an
+// job is terminal — with storage faults injected into the restart that
+// runs the campaign to its end, every one of which must fire — must
+// converge to a final report byte-identical to an
 // uninterrupted in-process run, with the job ID stable across an
 // idempotent re-submission and no accepted work lost.
 func TestCrashRestartChaosDifferential(t *testing.T) {
@@ -185,9 +186,9 @@ func TestCrashRestartChaosDifferential(t *testing.T) {
 	}
 	srv.kill()
 
-	// Restart with storage faults on the recovery path. The re-POST of
-	// the same request must land on the original job, not a duplicate.
-	srv.start("7:3:64")
+	// Restart. The re-POST of the same request must land on the
+	// original job, not a duplicate.
+	srv.start("")
 	again := submitRetry(t, cl, req)
 	if again.ID != accepted.ID {
 		t.Fatalf("idempotent re-POST returned job %s, original was %s", again.ID, accepted.ID)
@@ -211,8 +212,16 @@ func TestCrashRestartChaosDifferential(t *testing.T) {
 	}
 	srv.kill()
 
-	// Restart with a different fault seed; ride the job to terminal.
-	srv.start("11:3:64")
+	// Restart with storage faults and ride the job to terminal. This is
+	// the restart that does the campaign's work, so a window of 4 lies
+	// inside its operation counts (about 7 writes, 7 fsyncs and 7
+	// reads), and the plan
+	// (read-eio@op0, sync-fail@op1, sync-fail@op2) fires whole: the
+	// replay's first read, and store and journal fsyncs mid-campaign.
+	// The other restarts make too few operations for any window (the
+	// one after kill point 3 writes nothing at all), so a plan there
+	// would be one that never fires.
+	srv.start("11:3:4")
 	status, err := cl.Wait(accepted.ID)
 	if err != nil {
 		t.Fatalf("wait after second restart: %v\n--- helper output ---\n%s", err, srv.out)
@@ -226,7 +235,10 @@ func TestCrashRestartChaosDifferential(t *testing.T) {
 	// and the idempotent re-POST must still return the same, now
 	// complete, job.
 	srv.kill()
-	srv.start("13:3:64")
+	if n := strings.Count(srv.out.String(), "faultfs: injecting"); n != 3 {
+		t.Fatalf("%d of the 3 planned storage faults fired\n--- helper output ---\n%s", n, srv.out)
+	}
+	srv.start("")
 	final := submitRetry(t, cl, req)
 	if final.ID != accepted.ID {
 		t.Fatalf("post-completion re-POST returned job %s, want %s", final.ID, accepted.ID)

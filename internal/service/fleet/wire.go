@@ -6,13 +6,18 @@ import "encoding/json"
 //
 //	POST /api/v1/lease               LeaseRequest  -> LeaseGrant | 204
 //	POST /api/v1/lease/{id}/renew    RenewRequest  -> RenewReply
-//	POST /api/v1/lease/{id}/complete CompleteRequest -> 200 | 409
+//	POST /api/v1/lease/{id}/complete CompleteRequest -> CompleteReply | 404 | 409
 //
 // A lease request waits on the coordinator's queue for up to its
 // wait_ms (capped by the coordinator; absent means answer at once), and
-// a 204 means no unit arrived in that time. A 404 or 409 from renew or
-// complete means the lease is gone or fenced and the worker should
-// abandon the unit — someone else owns it.
+// a 204 means no unit arrived in that time. A completion that carries
+// next_wait_ms also asks for the worker's next unit, with the same
+// wait: its reply carries the grant, so a busy worker pays one round
+// trip per unit. A reply without a grant (none arrived in the wait, or
+// a coordinator that predates the field) sends the worker back to
+// POST /api/v1/lease. A 404 or 409 from renew or complete means the
+// lease is gone or fenced and the worker should abandon the unit —
+// someone else owns it.
 
 // LeaseRequest is a worker's pull for one unit.
 type LeaseRequest struct {
@@ -66,4 +71,16 @@ type CompleteRequest struct {
 	Result json.RawMessage `json:"result,omitempty"`
 	// Attempts is how many times the worker executed the unit.
 	Attempts int `json:"attempts,omitempty"`
+	// NextWaitMS, when present, asks for the worker's next unit in the
+	// reply, waiting for one as LeaseRequest.WaitMS does. Absent asks
+	// for none.
+	NextWaitMS *int64 `json:"next_wait_ms,omitempty"`
+}
+
+// CompleteReply acknowledges a completion that landed. Grant is the
+// worker's next unit, when the request asked for one and one was
+// granted.
+type CompleteReply struct {
+	Status string      `json:"status"` // "accepted"
+	Grant  *LeaseGrant `json:"grant,omitempty"`
 }

@@ -36,7 +36,10 @@ type Source interface {
 	// available right now.
 	Lease(ctx context.Context, worker string) (g LeaseGrant, ok bool, err error)
 	Renew(ctx context.Context, leaseID string, req RenewRequest) (RenewReply, error)
-	Complete(ctx context.Context, leaseID string, req CompleteRequest) error
+	// Complete publishes a unit's outcome and may grant the worker its
+	// next unit in the same exchange: ok reports whether next holds
+	// one. A worker whose completion brings no grant calls Lease.
+	Complete(ctx context.Context, leaseID string, req CompleteRequest) (next LeaseGrant, ok bool, err error)
 }
 
 // Execute runs one attempt of a leased unit and returns the JSON result
@@ -78,7 +81,7 @@ type Worker struct {
 
 // Stats is a point-in-time snapshot of the worker's counters.
 type Stats struct {
-	Leased    uint64
+	Leased    uint64 // units granted, by Lease or with a completion
 	Completed uint64
 	Fenced    uint64 // completions rejected by the coordinator's fence
 	Failed    uint64 // units whose last attempt returned an error (not a cancel or lost lease)
@@ -146,35 +149,53 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
+// loop runs units one at a time. A unit's completion usually brings
+// the next grant; the loop leases only for its first unit and after a
+// completion that brought none.
 func (w *Worker) loop(ctx context.Context, src Source) {
+	var g LeaseGrant
+	ok := false
 	for ctx.Err() == nil {
-		start := time.Now()
-		g, ok, err := src.Lease(ctx, w.ID)
-		if errors.Is(err, ErrClosed) {
-			return
-		}
-		pause := w.poll()
-		if err != nil {
-			w.logf("lease: %v", err)
-		} else {
-			// The request itself may have waited on the queue: sleep
-			// only the part of Poll it did not spend, so a coordinator
-			// that answers at once is still asked once per Poll.
-			pause -= time.Since(start)
-		}
 		if !ok {
-			if pause > 0 {
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(pause):
-				}
+			var closed bool
+			if g, ok, closed = w.lease(ctx, src); closed {
+				return
 			}
-			continue
+			if !ok {
+				continue
+			}
 		}
 		w.leased.Add(1)
-		w.runUnit(ctx, src, g)
+		g, ok = w.runUnit(ctx, src, g)
 	}
+}
+
+// lease asks src for a unit. After an empty answer it sleeps only the
+// part of Poll the request did not spend waiting on the queue, so a
+// coordinator that answers at once is still asked once per Poll.
+// closed reports that src will grant nothing more.
+func (w *Worker) lease(ctx context.Context, src Source) (g LeaseGrant, ok, closed bool) {
+	start := time.Now()
+	g, ok, err := src.Lease(ctx, w.ID)
+	if errors.Is(err, ErrClosed) {
+		return g, false, true
+	}
+	if ok {
+		return g, true, false
+	}
+	pause := w.poll()
+	if err != nil {
+		w.logf("lease: %v", err)
+	} else {
+		pause -= time.Since(start)
+	}
+	if pause > 0 {
+		select {
+		case <-ctx.Done():
+		case <-time.After(pause):
+		}
+	}
+	return g, false, false
 }
 
 // lost reports whether a renew or complete error means the lease is no
@@ -192,8 +213,9 @@ func lost(err error) bool { return errors.Is(err, ErrNoLease) || errors.Is(err, 
 // answer comes from the completion attempt — if we lost the unit, the
 // coordinator rejects it there and we move on. Aborting locally would
 // just waste the work when the heartbeat failure was a transient
-// network fault.
-func (w *Worker) runUnit(ctx context.Context, src Source, g LeaseGrant) {
+// network fault. It returns the next grant the completion brought, if
+// any.
+func (w *Worker) runUnit(ctx context.Context, src Source, g LeaseGrant) (LeaseGrant, bool) {
 	// unitCtx ends early only when the job is canceled or the lease
 	// lost: no further attempt starts, and the unit is not a failure.
 	unitCtx, stopUnit := context.WithCancel(ctx)
@@ -235,7 +257,7 @@ func (w *Worker) runUnit(ctx context.Context, src Source, g LeaseGrant) {
 	if ctx.Err() != nil && execErr != nil {
 		// Shutdown mid-unit: publish nothing; the lease expires and the
 		// coordinator requeues the unit.
-		return
+		return LeaseGrant{}, false
 	}
 
 	req := CompleteRequest{Worker: w.ID, Token: g.Token, State: StateDoneWire, Result: result, Attempts: attempts}
@@ -245,7 +267,7 @@ func (w *Worker) runUnit(ctx context.Context, src Source, g LeaseGrant) {
 			w.failed.Add(1)
 		}
 	}
-	w.complete(ctx, src, g, req)
+	return w.complete(ctx, src, g, req)
 }
 
 // Wire spellings of the two terminal unit states a worker can publish
@@ -291,32 +313,34 @@ func (w *Worker) heartbeat(ctx context.Context, src Source, g LeaseGrant, cancel
 // complete publishes the result, retrying transient errors until ctx
 // dies: an unpublished finished unit costs a whole re-execution
 // elsewhere, so it is worth being stubborn. A lost lease is final —
-// someone else owns the unit now.
-func (w *Worker) complete(ctx context.Context, src Source, g LeaseGrant, req CompleteRequest) {
+// someone else owns the unit now. It returns the next grant the
+// accepted completion brought, if any.
+func (w *Worker) complete(ctx context.Context, src Source, g LeaseGrant, req CompleteRequest) (LeaseGrant, bool) {
 	for {
-		err := src.Complete(ctx, g.LeaseID, req)
+		next, ok, err := src.Complete(ctx, g.LeaseID, req)
 		switch {
 		case err == nil:
 			w.completed.Add(1)
-			return
+			return next, ok
 		case lost(err):
 			w.fenced.Add(1)
 			w.logf("complete %s: fenced (%v), unit %s[%d] belongs to someone else",
 				g.LeaseID, err, g.Job, g.Unit)
-			return
+			return LeaseGrant{}, false
 		default:
 			w.logf("complete %s: %v (retrying)", g.LeaseID, err)
 		}
 		select {
 		case <-ctx.Done():
-			return
+			return LeaseGrant{}, false
 		case <-time.After(w.poll()):
 		}
 	}
 }
 
 // httpSource is the lease API of a remote coordinator. A lease
-// request asks the coordinator to wait up to wait for a unit.
+// request, and a completion's request for the next unit, ask the
+// coordinator to wait up to wait for a unit.
 type httpSource struct {
 	base   string
 	client *http.Client
@@ -340,12 +364,18 @@ func (h httpSource) Renew(ctx context.Context, id string, req RenewRequest) (Ren
 	return reply, leaseStatus(code)
 }
 
-func (h httpSource) Complete(ctx context.Context, id string, req CompleteRequest) error {
-	code, err := h.post(ctx, "/api/v1/lease/"+id+"/complete", req, nil)
-	if err != nil {
-		return err
+func (h httpSource) Complete(ctx context.Context, id string, req CompleteRequest) (LeaseGrant, bool, error) {
+	wait := h.wait.Milliseconds()
+	req.NextWaitMS = &wait
+	var reply CompleteReply
+	code, err := h.post(ctx, "/api/v1/lease/"+id+"/complete", req, &reply)
+	if err == nil {
+		err = leaseStatus(code)
 	}
-	return leaseStatus(code)
+	if err != nil || reply.Grant == nil {
+		return LeaseGrant{}, false, err
+	}
+	return *reply.Grant, true, nil
 }
 
 // leaseStatus maps a renew or complete answer onto the Source errors:

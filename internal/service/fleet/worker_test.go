@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,9 +40,9 @@ func (s *oneUnit) Renew(context.Context, string, RenewRequest) (RenewReply, erro
 	return RenewReply{Canceled: s.canceled}, nil
 }
 
-func (s *oneUnit) Complete(_ context.Context, _ string, req CompleteRequest) error {
+func (s *oneUnit) Complete(_ context.Context, _ string, req CompleteRequest) (LeaseGrant, bool, error) {
 	s.done <- req
-	return nil
+	return LeaseGrant{}, false, nil
 }
 
 // A job canceled while its unit waits out a retry backoff is noticed at
@@ -113,5 +115,129 @@ func TestPollPacesImmediateEmptyLeases(t *testing.T) {
 	n, most := requests.Load(), int64(elapsed/poll)+1
 	if n < 2 || n > most {
 		t.Fatalf("%d lease requests in %v, want 2..%d at one per %v", n, elapsed, most, poll)
+	}
+}
+
+// Against a coordinator that predates chained grants — it ignores
+// next_wait_ms and answers every completion {"status":"accepted"} — a
+// worker leases each unit, and every unit runs exactly once.
+func TestOldCoordinatorFallsBackToLease(t *testing.T) {
+	const n = 5
+	var mu sync.Mutex
+	next, completed := 0, map[string]int{}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case r.URL.Path == "/api/v1/lease":
+			if next == n {
+				w.WriteHeader(http.StatusNoContent)
+				return
+			}
+			next++
+			json.NewEncoder(w).Encode(LeaseGrant{LeaseID: fmt.Sprintf("l%d", next), Token: uint64(next), Unit: next})
+		case strings.HasSuffix(r.URL.Path, "/complete"):
+			completed[strings.Split(r.URL.Path, "/")[4]]++
+			json.NewEncoder(w).Encode(map[string]string{"status": "accepted"})
+		default:
+			json.NewEncoder(w).Encode(RenewReply{})
+		}
+	}))
+	defer srv.Close()
+	var runs atomic.Int64
+	w := &Worker{Coordinator: srv.URL, ID: "w", Poll: 5 * time.Millisecond,
+		Execute: func(context.Context, LeaseGrant) (json.RawMessage, error) {
+			runs.Add(1)
+			return json.RawMessage(`{}`), nil
+		}}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for w.Stats().Completed < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+	mu.Lock()
+	defer mu.Unlock()
+	if s := w.Stats(); s.Leased != n || s.Completed != n || runs.Load() != n {
+		t.Fatalf("stats %+v after %d runs, want %d leased, completed and run", s, runs.Load(), n)
+	}
+	for i := 1; i <= n; i++ {
+		if c := completed[fmt.Sprintf("l%d", i)]; c != 1 {
+			t.Errorf("lease l%d completed %d times, want once", i, c)
+		}
+	}
+}
+
+// chain is a Source that grants its first unit on Lease and each
+// later one in the reply to the previous unit's completion.
+type chain struct {
+	n      int
+	mu     sync.Mutex
+	leases int
+	done   []string
+}
+
+func (c *chain) grant(i int) LeaseGrant {
+	return LeaseGrant{LeaseID: fmt.Sprintf("l%d", i), Token: uint64(i), Unit: i}
+}
+
+func (c *chain) Lease(ctx context.Context, _ string) (LeaseGrant, bool, error) {
+	c.mu.Lock()
+	c.leases++
+	first := c.leases == 1
+	c.mu.Unlock()
+	if first {
+		return c.grant(0), true, nil
+	}
+	<-ctx.Done()
+	return LeaseGrant{}, false, ErrClosed
+}
+
+func (c *chain) Renew(context.Context, string, RenewRequest) (RenewReply, error) {
+	return RenewReply{}, nil
+}
+
+func (c *chain) Complete(_ context.Context, id string, _ CompleteRequest) (LeaseGrant, bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.done = append(c.done, id)
+	if len(c.done) == c.n {
+		return LeaseGrant{}, false, nil
+	}
+	return c.grant(len(c.done)), true, nil
+}
+
+// A grant that arrives with a completion runs without a lease request
+// and counts in Stats.Leased like a leased one.
+func TestStatsCountChainedGrants(t *testing.T) {
+	src := &chain{n: 4}
+	w := &Worker{ID: "w", Source: src,
+		Execute: func(context.Context, LeaseGrant) (json.RawMessage, error) { return nil, nil }}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for w.Stats().Completed < 4 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	if s := w.Stats(); s.Leased != 4 || s.Completed != 4 {
+		t.Fatalf("stats %+v, want 4 leased and 4 completed", s)
+	}
+	if want := "[l0 l1 l2 l3]"; fmt.Sprint(src.done) != want || src.leases != 2 {
+		t.Fatalf("completed %v with %d lease calls, want %s and 2 (the first unit, then the idle one)",
+			src.done, src.leases, want)
 	}
 }

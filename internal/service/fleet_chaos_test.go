@@ -272,16 +272,16 @@ func TestFleetRecoverRestoresFence(t *testing.T) {
 
 	// The pre-crash worker publishes into the restarted coordinator:
 	// rejected, counted.
-	_, err = svc2.completeLease(g1.LeaseID, fleet.CompleteRequest{
-		Worker: "doomed", Token: g1.Token, State: StateDone, Result: json.RawMessage(`{"stale":true}`)})
+	_, err = svc2.completeLease(context.Background(), g1.LeaseID, fleet.CompleteRequest{
+		Worker: "doomed", Token: g1.Token, State: StateDone, Result: json.RawMessage(`{"stale":true}`)}, false)
 	if err == nil {
 		t.Fatal("stale pre-crash completion was accepted")
 	}
 	if n := counterValue(svc2.Registry(), "service_leases_fenced_rejects_total"); n != 1 {
 		t.Fatalf("fenced rejects %d, want 1", n)
 	}
-	if _, err := svc2.completeLease(g2.LeaseID, fleet.CompleteRequest{
-		Worker: "survivor", Token: g2.Token, State: StateDone, Result: json.RawMessage(`{"ipc":1}`)}); err != nil {
+	if _, err := svc2.completeLease(context.Background(), g2.LeaseID, fleet.CompleteRequest{
+		Worker: "survivor", Token: g2.Token, State: StateDone, Result: json.RawMessage(`{"ipc":1}`)}, false); err != nil {
 		t.Fatalf("survivor completion: %v", err)
 	}
 }

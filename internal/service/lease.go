@@ -22,10 +22,13 @@ import (
 // retry policy, and the completion lands the result, the attempt count
 // and the breaker outcome. A grant is journaled write-ahead as the
 // unit's running event with its fencing token, which keeps tokens
-// monotonic across a coordinator crash. A remote grant and a remote
-// completion's reply wait for their records to be durable; local ones
-// do not, because a crash kills their worker too and nothing of theirs
-// has left the process.
+// monotonic across a coordinator crash. A completion may ask for the
+// worker's next unit, and its reply then carries that grant: a busy
+// remote worker pays one round trip per unit. A remote grant and a
+// remote completion's reply wait for their records to be durable, and
+// a completion and the grant it brings share one wait; local ones do
+// not wait, because a crash kills their worker too and nothing of
+// theirs has left the process.
 
 // ErrBadLease rejects a complete/renew request that is structurally
 // invalid (unknown state, undecodable body).
@@ -92,12 +95,30 @@ func (s *Service) enqueueLocked(units ...*unit) {
 	s.gauge("service_queue_depth", "units waiting for a worker").Set(float64(len(s.queue)))
 }
 
+// leaseWait is the queue wait a lease request's wait_ms asks for,
+// capped by MaxLeaseWait.
+func leaseWait(ms int64) time.Duration {
+	return time.Duration(min(max(ms, 0), MaxLeaseWait.Milliseconds())) * time.Millisecond
+}
+
 // lease grants worker the next runnable unit, waiting up to wait for
 // one to be queued; a negative wait waits until ctx ends or Drain
 // begins. It returns (nil, nil) when the wait passes with no unit, and
 // fleet.ErrClosed once Drain begins. A local lease is the in-process
 // workers' pinned grant: it never expires.
 func (s *Service) lease(ctx context.Context, worker string, wait time.Duration, local bool) (*fleet.LeaseGrant, error) {
+	p, err := s.take(ctx, worker, wait, local)
+	if p == nil {
+		return nil, err
+	}
+	return s.issue(p)
+}
+
+// take is lease up to the grant's write-ahead record: it dequeues a
+// unit and grants it, and issue hands the grant out once its record is
+// durable. Between the two a caller may write more records for the
+// same wait to cover.
+func (s *Service) take(ctx context.Context, worker string, wait time.Duration, local bool) (*taken, error) {
 	var expired <-chan time.Time
 	if wait > 0 {
 		t := time.NewTimer(wait)
@@ -129,8 +150,8 @@ func (s *Service) lease(ctx context.Context, worker string, wait time.Duration, 
 		}
 		s.mu.Unlock()
 		if u != nil {
-			if g, err := s.grant(u, worker, local); g != nil || err != nil {
-				return g, err
+			if p, err := s.grant(u, worker, local); p != nil || err != nil {
+				return p, err
 			}
 			continue
 		}
@@ -150,32 +171,47 @@ func (s *Service) lease(ctx context.Context, worker string, wait time.Duration, 
 }
 
 // localSource is the in-process workers' lease source: the service's
-// grant, renew and complete logic without HTTP. Lease blocks on the
-// queue; it returns fleet.ErrClosed once Drain begins.
+// grant, renew and complete logic without HTTP. Lease, and Complete's
+// grant of the next unit, block on the queue; once Drain begins, Lease
+// returns fleet.ErrClosed and Complete grants nothing.
 type localSource struct{ s *Service }
 
 func (l localSource) Lease(ctx context.Context, worker string) (fleet.LeaseGrant, bool, error) {
-	g, err := l.s.lease(ctx, worker, -1, true)
-	if g == nil {
-		return fleet.LeaseGrant{}, false, err
-	}
-	return *g, true, nil
+	return granted(l.s.lease(ctx, worker, -1, true))
 }
 
 func (l localSource) Renew(_ context.Context, id string, req fleet.RenewRequest) (fleet.RenewReply, error) {
 	return l.s.renewLease(id, req)
 }
 
-func (l localSource) Complete(_ context.Context, id string, req fleet.CompleteRequest) error {
-	_, err := l.s.completeLease(id, req)
-	return err
+func (l localSource) Complete(ctx context.Context, id string, req fleet.CompleteRequest) (fleet.LeaseGrant, bool, error) {
+	return granted(l.s.completeLease(ctx, id, req, true))
 }
 
-// grant hands a dequeued unit to worker under a new lease — a pinned
-// one, which never expires, for an in-process worker. It returns nil
-// when the unit ended instead: its job was canceled, or its workload's
-// circuit breaker is open.
-func (s *Service) grant(u *unit, worker string, local bool) (*fleet.LeaseGrant, error) {
+// granted is a service grant in fleet.Source's form.
+func granted(g *fleet.LeaseGrant, err error) (fleet.LeaseGrant, bool, error) {
+	if g == nil {
+		return fleet.LeaseGrant{}, false, err
+	}
+	return *g, true, err
+}
+
+// taken is a unit granted under lease l whose running record, at pos,
+// may not be durable yet.
+type taken struct {
+	u     *unit
+	l     fleet.Lease
+	spec  json.RawMessage
+	local bool
+	pos   journal.Pos
+}
+
+// grant leases a dequeued unit to worker — under a pinned lease, which
+// never expires, for an in-process worker — and writes the unit's
+// running record ahead of the grant. It returns nil when the unit
+// ended instead: its job was canceled, or its workload's circuit
+// breaker is open.
+func (s *Service) grant(u *unit, worker string, local bool) (*taken, error) {
 	if u.job.ctx.Err() != nil {
 		s.finish(u, StateCanceled, "", nil)
 		return nil, nil
@@ -196,25 +232,38 @@ func (s *Service) grant(u *unit, worker string, local bool) (*fleet.LeaseGrant, 
 		grant = s.leases.GrantPinned
 	}
 	l := grant(worker, u)
-	// Write-ahead like Submit: a remote worker's fencing token must be
-	// durable before the worker learns it, or a crash could reset the
-	// fence and let this worker's completion collide with a post-restart
-	// regrant. On failure the grant is retracted and the unit goes back
-	// — the token is burned, never exposed.
 	pos, err := s.transition(u, StateRunning, &l)
-	if err == nil && !local {
-		if err = s.durable(pos); err != nil {
-			s.transition(u, StateQueued, nil)
-		}
-	}
 	if err != nil {
-		s.logf("lease: journal append failed, retracting grant for %s[%d]: %v", u.job.id, u.index, err)
-		s.leases.Retract(l.ID)
-		s.abandon(u)
-		s.mu.Lock()
-		s.enqueueLocked(u)
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %v", ErrJournal, err)
+		return nil, s.retract(u, l, err)
+	}
+	return &taken{u: u, l: l, spec: spec, local: local, pos: pos}, nil
+}
+
+// retract takes back a grant whose running record did not become
+// durable and puts its unit back on the queue: the token is burned,
+// never exposed.
+func (s *Service) retract(u *unit, l fleet.Lease, err error) error {
+	s.logf("lease: journal append failed, retracting grant for %s[%d]: %v", u.job.id, u.index, err)
+	s.leases.Retract(l.ID)
+	s.abandon(u)
+	s.mu.Lock()
+	s.enqueueLocked(u)
+	s.mu.Unlock()
+	return fmt.Errorf("%w: %v", ErrJournal, err)
+}
+
+// issue hands out a taken grant. Write-ahead like Submit: a remote
+// worker's fencing token must be durable before the worker learns it,
+// or a crash could reset the fence and let this worker's completion
+// collide with a post-restart regrant. When the record fails, the
+// grant is retracted.
+func (s *Service) issue(p *taken) (*fleet.LeaseGrant, error) {
+	u, l := p.u, p.l
+	if !p.local {
+		if err := s.durable(p.pos); err != nil {
+			s.transition(u, StateQueued, nil)
+			return nil, s.retract(u, l, err)
+		}
 	}
 
 	// The first claim of a key computes; every later unit with the same
@@ -230,16 +279,16 @@ func (s *Service) grant(u *unit, worker string, local bool) (*fleet.LeaseGrant, 
 			obs.Labels{"tenant": u.job.tenant}).Inc()
 	}
 	s.counter("service_leases_granted_total", "units leased to workers",
-		obs.Labels{"worker": worker}).Inc()
+		obs.Labels{"worker": l.Worker}).Inc()
 	s.leaseGauges()
-	s.logf("lease %s (token %d): unit %s[%d] -> worker %q", l.ID, l.Token, u.job.id, u.index, worker)
+	s.logf("lease %s (token %d): unit %s[%d] -> worker %q", l.ID, l.Token, u.job.id, u.index, l.Worker)
 	return &fleet.LeaseGrant{
 		LeaseID:  l.ID,
 		Token:    l.Token,
 		TTL:      s.leases.TTL(),
 		Job:      u.job.id,
 		Unit:     u.index,
-		Spec:     spec,
+		Spec:     p.spec,
 		Scale:    u.job.req.Scale,
 		MaxInsts: u.job.req.MaxInsts,
 		Attempts: s.cfg.Retries + 1,
@@ -258,14 +307,59 @@ func (s *Service) renewLease(id string, req fleet.RenewRequest) (fleet.RenewRepl
 	return fleet.RenewReply{Deadline: l.Deadline, Canceled: l.Unit.(*unit).job.ctx.Err() != nil}, nil
 }
 
-// completeLease validates the fencing token and lands the worker's
-// result, returning the position of the unit's final journal record.
-// The result must be compact JSON, as json.Marshal writes it or
+// completeLease lands a worker's completion (see land) and grants the
+// worker its next unit when it asks: a local worker always does, and
+// waits for one until Drain; a remote one asks with next_wait_ms. A
+// remote completion and the grant it brings become durable in one
+// Sync before the reply: when a unit is queued, the completion's final
+// record and the grant's running record are both written before it.
+// When none is, the completion is made durable before the queue wait,
+// which may be long, and the grant later waits alone. The completion
+// has landed whatever comes next, so only its own rejection is an
+// error; a grant that fails (Drain began, its record failed) is simply
+// not made.
+func (s *Service) completeLease(ctx context.Context, id string, req fleet.CompleteRequest, local bool) (*fleet.LeaseGrant, error) {
+	pos, err := s.land(id, req)
+	if err != nil {
+		return nil, err
+	}
+	// The completion's record may fail to become durable: the journal's
+	// failure hook counts and logs it, and a retry would only find the
+	// lease gone, so the worker hears "accepted" either way.
+	syncDone := func() {
+		if !local {
+			s.durable(pos)
+		}
+	}
+	if !local && req.NextWaitMS == nil {
+		syncDone()
+		return nil, nil
+	}
+	wait := time.Duration(-1)
+	if !local {
+		wait = leaseWait(*req.NextWaitMS)
+	}
+	next, err := s.take(ctx, req.Worker, 0, local)
+	if next == nil && err == nil && wait != 0 {
+		syncDone()
+		next, _ = s.take(ctx, req.Worker, wait, local)
+	}
+	syncDone()
+	if next == nil {
+		return nil, nil
+	}
+	g, _ := s.issue(next)
+	return g, nil
+}
+
+// land validates the fencing token and lands the worker's result,
+// returning the position of the unit's final journal record. The
+// result must be compact JSON, as json.Marshal writes it or
 // journal.CompactResult makes it: the journal splices it in as it is
 // held. A fenced or unknown lease is the zombie-writer rejection: the
 // unit belongs to someone else (or already finished) and the published
 // result is discarded.
-func (s *Service) completeLease(id string, req fleet.CompleteRequest) (journal.Pos, error) {
+func (s *Service) land(id string, req fleet.CompleteRequest) (journal.Pos, error) {
 	if req.State != StateDone && req.State != StateFailed {
 		return journal.Pos{}, fmt.Errorf("%w: state %q", ErrBadLease, req.State)
 	}
@@ -278,6 +372,9 @@ func (s *Service) completeLease(id string, req fleet.CompleteRequest) (journal.P
 			id, req.Worker, req.Token, err)
 		return journal.Pos{}, err
 	}
+	// The gauges drop the lease before the unit's final event goes
+	// out, so a client that saw its job finish scrapes them settled.
+	s.leaseGauges()
 	u := v.(*unit)
 	j := u.job
 	if req.Attempts > 1 {
@@ -290,9 +387,7 @@ func (s *Service) completeLease(id string, req fleet.CompleteRequest) (journal.P
 		if len(result) == 0 {
 			result = json.RawMessage("null")
 		}
-		pos := s.finish(u, StateDone, "", result)
-		s.leaseGauges()
-		return pos, nil
+		return s.finish(u, StateDone, "", result), nil
 	}
 	if req.Error == "" {
 		req.Error = "worker reported failure"
@@ -306,9 +401,7 @@ func (s *Service) completeLease(id string, req fleet.CompleteRequest) (journal.P
 	s.breaker.Record(u.spec.Workload, execErr)
 	s.counter("service_units_failed_total", "units that failed permanently",
 		obs.Labels{"tenant": j.tenant}).Inc()
-	pos := s.finish(u, state, req.Error, nil)
-	s.leaseGauges()
-	return pos, nil
+	return s.finish(u, state, req.Error, nil), nil
 }
 
 // HTTP handlers.
@@ -321,8 +414,7 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	if req.Worker == "" {
 		req.Worker = "anonymous"
 	}
-	wait := time.Duration(min(max(req.WaitMS, 0), MaxLeaseWait.Milliseconds())) * time.Millisecond
-	g, err := s.lease(r.Context(), req.Worker, wait, false)
+	g, err := s.lease(r.Context(), req.Worker, leaseWait(req.WaitMS), false)
 	switch {
 	case errors.Is(err, ErrNotReady), errors.Is(err, ErrJournal), errors.Is(err, fleet.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, err)
@@ -365,17 +457,12 @@ func (s *Service) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Result = result
 	}
-	pos, err := s.completeLease(r.PathValue("id"), req)
+	g, err := s.completeLease(r.Context(), r.PathValue("id"), req, false)
 	if err != nil {
 		writeLeaseError(w, err)
 		return
 	}
-	// The outcome has landed whether or not its record becomes durable
-	// (the journal's failure hook counts and logs a failure), and a
-	// retry would only find the lease gone, so the worker hears
-	// "accepted" either way.
-	s.durable(pos)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
+	writeJSON(w, http.StatusOK, fleet.CompleteReply{Status: "accepted", Grant: g})
 }
 
 // writeLeaseError answers a failed renew or complete: 404 for a lease

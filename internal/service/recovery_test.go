@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,9 +65,10 @@ func appendSync(jrn *journal.Journal, recs ...journal.Record) error {
 }
 
 // writeLogFS keeps a copy of every write made through the files it
-// opens.
+// opens, and counts their fsyncs.
 type writeLogFS struct {
 	store.FS
+	syncs atomic.Int64
 
 	mu     sync.Mutex
 	writes [][]byte
@@ -90,6 +92,11 @@ func (f writeLogFile) Write(p []byte) (int, error) {
 	f.fs.writes = append(f.fs.writes, bytes.Clone(p))
 	f.fs.mu.Unlock()
 	return f.File.Write(p)
+}
+
+func (f writeLogFile) Sync() error {
+	f.fs.syncs.Add(1)
+	return f.File.Sync()
 }
 
 // TestFinishJournalsEndWithLastEvent: a finished job's last unit event

@@ -470,9 +470,9 @@ func leaseAndComplete(t *testing.T, svc *Service, result json.RawMessage) *fleet
 	if err != nil || g == nil {
 		t.Fatalf("lease: grant %+v, err %v", g, err)
 	}
-	if _, err := svc.completeLease(g.LeaseID, fleet.CompleteRequest{
+	if _, err := svc.completeLease(context.Background(), g.LeaseID, fleet.CompleteRequest{
 		Worker: "remote", Token: g.Token, State: StateDone, Result: result,
-	}); err != nil {
+	}, false); err != nil {
 		t.Fatalf("complete %s[%d]: %v", g.Job, g.Unit, err)
 	}
 	return g

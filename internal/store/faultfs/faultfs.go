@@ -1,9 +1,9 @@
 // Package faultfs is the deterministic storage-fault injection layer
 // under the artifact store and the service journal: an FS wrapper that
 // fails exact operations — EIO on a write, a short/partial write, a
-// failed fsync, ENOSPC, a silently dropped rename, EIO on a read —
-// according to a seeded splitmix64 plan, so crash- and IO-chaos tests
-// reproduce byte for byte from a single seed.
+// failed fsync, ENOSPC, EIO on a read — according to a seeded
+// splitmix64 plan, so crash- and IO-chaos tests reproduce byte for
+// byte from a single seed.
 //
 // Faults are addressed by (kind, per-kind operation ordinal): the
 // plan entry {Kind: SyncFail, Op: 3} fails the fourth Sync the wrapped
@@ -13,12 +13,9 @@
 // fault wraps ErrInjected so tests can tell planned failures from real
 // environmental ones.
 //
-// The rename-drop kind models the classic lost-rename crash: Rename
-// reports success but the destination never appears, exactly what a
-// power cut between a rename's journal commit and its directory-entry
-// write leaves behind. It hits the atomic-write protocol
-// (store.WriteFileAtomicFS, which writes the CLIs' artifacts); the
-// segment log under the store and the journal renames nothing.
+// Every kind hits an operation the segment log under the store and the
+// journal makes. The log renames nothing, so Rename passes through: a
+// kind for it would be a planned fault that never fires.
 package faultfs
 
 import (
@@ -55,9 +52,6 @@ const (
 	// or may not be durable, and the caller must treat the file as
 	// suspect.
 	SyncFail
-	// RenameDrop makes one Rename report success without renaming —
-	// the lost-rename crash model.
-	RenameDrop
 	// ReadEIO fails one ReadFile or ReadAt with EIO.
 	ReadEIO
 
@@ -65,7 +59,7 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"write-eio", "short-write", "write-enospc", "sync-fail", "rename-drop", "read-eio",
+	"write-eio", "short-write", "write-enospc", "sync-fail", "read-eio",
 }
 
 func (k Kind) String() string {
@@ -101,12 +95,11 @@ func ParsePlan(spec string) (*Plan, error) {
 }
 
 // The operation classes that draw ordinals: writes (all three write
-// kinds share the stream of File.Write calls), syncs, renames, reads
-// (ReadFile and ReadAt share one stream).
+// kinds share the stream of File.Write calls), syncs, reads (ReadFile
+// and ReadAt share one stream).
 const (
 	classWrite = iota
 	classSync
-	classRename
 	classRead
 	numClasses
 )
@@ -189,16 +182,7 @@ func (f *FS) OpenAppend(path string, perm os.FileMode) (store.File, error) {
 
 func (f *FS) Chmod(name string, mode os.FileMode) error { return f.inner.Chmod(name, mode) }
 
-func (f *FS) Rename(oldpath, newpath string) error {
-	if _, ok := f.trip(classRename, RenameDrop); ok {
-		// Report success, drop the rename: the lost-rename crash. The
-		// source is removed so the debris does not double as a
-		// half-visible record.
-		f.inner.Remove(oldpath)
-		return nil
-	}
-	return f.inner.Rename(oldpath, newpath)
-}
+func (f *FS) Rename(oldpath, newpath string) error { return f.inner.Rename(oldpath, newpath) }
 
 func (f *FS) Remove(name string) error { return f.inner.Remove(name) }
 

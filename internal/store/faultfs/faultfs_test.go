@@ -119,24 +119,6 @@ func TestEachKindFiresOnce(t *testing.T) {
 		f.Close()
 	})
 
-	t.Run("rename-drop", func(t *testing.T) {
-		fs := New(nil, &Plan{Faults: []Fault{{Kind: RenameDrop, Op: 0}}}, t.Logf)
-		src := filepath.Join(dir, "r-src")
-		dst := filepath.Join(dir, "r-dst")
-		if err := os.WriteFile(src, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Rename(src, dst); err != nil {
-			t.Fatalf("dropped rename must report success, got %v", err)
-		}
-		if _, err := os.Stat(dst); !errors.Is(err, os.ErrNotExist) {
-			t.Fatal("destination appeared despite rename drop")
-		}
-		if _, err := os.Stat(src); !errors.Is(err, os.ErrNotExist) {
-			t.Fatal("source survived rename drop")
-		}
-	})
-
 	t.Run("read-eio", func(t *testing.T) {
 		fs := New(nil, &Plan{Faults: []Fault{{Kind: ReadEIO, Op: 0}}}, t.Logf)
 		path := filepath.Join(dir, "r1")
@@ -175,8 +157,7 @@ func TestEachKindFiresOnce(t *testing.T) {
 // path through injected faults: the Put fails cleanly and abandons its
 // segment, a retried Put lands in a fresh segment, and a reopened
 // store reads it back — skipping the torn half-frame a short write
-// leaves. The store renames nothing, so a planned rename drop never
-// fires on it.
+// leaves.
 func TestStoreSurvivesWriteFaults(t *testing.T) {
 	for _, tc := range []struct {
 		kind Kind
@@ -187,7 +168,6 @@ func TestStoreSurvivesWriteFaults(t *testing.T) {
 		{ShortWrite, 2, 1},
 		{WriteENOSPC, 2, 0},
 		{SyncFail, 2, 0},
-		{RenameDrop, 1, 0},
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			dir := t.TempDir()
@@ -198,11 +178,7 @@ func TestStoreSurvivesWriteFaults(t *testing.T) {
 			}
 			key := store.Key{Kind: "result", Workload: "w", Scale: 1}
 			err = st.Put(key, "payload")
-			if tc.kind == RenameDrop {
-				if err != nil || fs.Fired() != 0 {
-					t.Fatalf("Put = %v with %d faults fired, want success and none", err, fs.Fired())
-				}
-			} else if !errors.Is(err, ErrInjected) || fs.Fired() != 1 {
+			if !errors.Is(err, ErrInjected) || fs.Fired() != 1 {
 				t.Fatalf("Put err = %v (%d fired), want injected", err, fs.Fired())
 			}
 			if err := st.Put(key, "payload"); err != nil {
